@@ -8,13 +8,13 @@ reported grouped by shape.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .partitions import (
     DistinguishedPartition,
     InvariantError,
     LabelSet,
+    _check_internal,
     _require_bound,
     _require_labels,
     enumerate_distinguished,
@@ -22,6 +22,7 @@ from .partitions import (
 from .intersect import minus_k_closed
 from .trees import (
     StableTree,
+    _class_size,
     enumerate_curve_trees,
     make_tree,
     pi_of_tree,
@@ -110,7 +111,7 @@ def run_census(s: LabelSet, max_n: int | None = None) -> CensusReport:
             type_rep[key] = tree
             type_minus_k[key] = minus_k_closed(pi)
         else:
-            assert type_minus_k[key] == minus_k_closed(pi), "type mixes degrees"
+            _check_internal(type_minus_k[key] == minus_k_closed(pi), "type mixes degrees")
         bucket = class_breakdown.setdefault(pi, {})
         bucket[key] = bucket.get(key, 0) + 1
 
@@ -135,9 +136,11 @@ def run_census(s: LabelSet, max_n: int | None = None) -> CensusReport:
         breakdowns = [
             tuple(sorted(class_breakdown[pi].items())) for pi in members
         ]
-        assert all(b == breakdowns[0] for b in breakdowns), "shape mixes breakdowns"
+        _check_internal(
+            all(b == breakdowns[0] for b in breakdowns), "shape mixes breakdowns"
+        )
         degrees = {minus_k_closed(pi) for pi in members}
-        assert len(degrees) == 1, "shape mixes degrees"
+        _check_internal(len(degrees) == 1, "shape mixes degrees")
         per_class = sum(count for _, count in breakdowns[0])
         records.append(
             ClassShapeRecord(
@@ -151,9 +154,10 @@ def run_census(s: LabelSet, max_n: int | None = None) -> CensusReport:
 
     total_curves = sum(type_counts.values())
     total_classes = len(class_breakdown)
-    assert total_curves == sum(
-        r.class_count * r.curves_per_class for r in records
-    ), "type and class totals disagree"
+    _check_internal(
+        total_curves == sum(r.class_count * r.curves_per_class for r in records),
+        "type and class totals disagree",
+    )
     return CensusReport(
         n=s.n,
         types=types,
@@ -168,14 +172,10 @@ def class_size_oracle(pi: DistinguishedPartition) -> int:
 
     Each block with k >= 2 labels contributes the double factorial
     (2k - 3)!!, the count of rooted trivalent trees on k tails; blocks
-    multiply independently.
+    multiply independently.  The same formula gives the length of
+    :func:`enumerate_curve_trees`.
     """
-    total = 1
-    for m in pi.block_masks:
-        k = m.bit_count()
-        if k >= 2:
-            total *= math.prod(range(1, 2 * k - 2, 2))
-    return total
+    return _class_size(pi)
 
 
 def classes_by_shape(s: LabelSet, max_n: int | None = None) -> dict[tuple[int, ...], int]:

@@ -31,6 +31,7 @@ from .partitions import (
     InvariantError,
     LabelSet,
     TwoPartition,
+    _check_internal,
     n_set,
     p_set,
 )
@@ -66,10 +67,15 @@ def _normalize_tokens(raw: list[str]) -> list:
     return list(raw)
 
 
-def _block_tokens(block: str) -> list[str]:
-    """Tokens of one block: comma-separated, or one label per character."""
+def _block_tokens(block: str, whole: bool = False) -> list[str]:
+    """Tokens of one block: comma-separated, or one label per character.
+
+    With ``whole``, a block without commas is a single label.
+    """
     if "," in block:
         tokens = [t.strip() for t in block.split(",")]
+    elif whole:
+        tokens = [block]
     else:
         tokens = list(block)
     for t in tokens:
@@ -79,16 +85,19 @@ def _block_tokens(block: str) -> list[str]:
 
 
 def parse_label_blocks(text: str) -> list[list]:
-    """Blocks of a partition literal, labels normalized."""
+    """Blocks of a partition literal, labels normalized.
+
+    Once any block holds a comma, the literal is comma-separated throughout
+    and a block without commas is one label, as in ``1,2,3,4,5,6,7|8|9|10``.
+    """
     text = text.strip()
     if not text:
         raise ParseError("empty partition literal")
-    raw_blocks = []
-    for block in text.split("|"):
-        block = block.strip()
-        if not block:
-            raise ParseError(f"empty block in partition literal {text!r}")
-        raw_blocks.append(_block_tokens(block))
+    blocks = [block.strip() for block in text.split("|")]
+    if not all(blocks):
+        raise ParseError(f"empty block in partition literal {text!r}")
+    separated = "," in text
+    raw_blocks = [_block_tokens(block, whole=separated) for block in blocks]
     flat = [t for block in raw_blocks for t in block]
     if len(set(flat)) != len(flat):
         dup = next(t for t in flat if flat.count(t) > 1)
@@ -280,10 +289,12 @@ def _cmd_minus_k(args: argparse.Namespace) -> str:
         result["closed"] = minus_k_closed(pi)
     if args.route in ("expanded", "both"):
         expanded = minus_k_expanded(pi)
-        assert expanded.denominator == 1, "expanded degree is not an integer"
+        _check_internal(expanded.denominator == 1, "expanded degree is not an integer")
         result["expanded"] = int(expanded)
     if args.route == "both":
-        assert result["closed"] == result["expanded"], "closed and expanded routes disagree"
+        _check_internal(
+            result["closed"] == result["expanded"], "closed and expanded routes disagree"
+        )
         result["equal"] = True
     parameters = {"pi": args.pi, "route": args.route}
     return _dump(_envelope("minus-k", parameters, result))

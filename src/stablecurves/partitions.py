@@ -16,6 +16,7 @@ from typing import Iterable
 __all__ = [
     "DEFAULT_MAX_N",
     "InvariantError",
+    "InternalCheckError",
     "LabelSet",
     "TwoPartition",
     "DistinguishedPartition",
@@ -38,6 +39,19 @@ DEFAULT_MAX_N = 16
 
 class InvariantError(ValueError):
     """Raised when an input violates a documented domain invariant."""
+
+
+class InternalCheckError(AssertionError):
+    """Raised when a cross-check the package runs on its own results fails.
+
+    Unlike a bare ``assert``, the check still runs under ``python -O``.
+    """
+
+
+def _check_internal(ok: bool, message: str) -> None:
+    """Raise :class:`InternalCheckError` with ``message`` unless ``ok``."""
+    if not ok:
+        raise InternalCheckError(message)
 
 
 def bits_of(mask: int) -> tuple[int, ...]:

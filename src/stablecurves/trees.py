@@ -11,17 +11,19 @@ edge stored as (parent, child).
 
 from __future__ import annotations
 
-from collections import deque
+import math
+from collections import abc, deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
-from typing import Iterable, Sequence
+from itertools import combinations, islice, product
+from typing import Iterable, Iterator, Sequence
 
 from .partitions import (
     DistinguishedPartition,
     InvariantError,
     LabelSet,
     TwoPartition,
+    _check_internal,
     _low_bit,
     _require_bound,
     _require_labels,
@@ -43,6 +45,7 @@ __all__ = [
     "forget_and_stabilize",
     "exceptional_vertex",
     "pi_of_tree",
+    "CurveTrees",
     "enumerate_curve_trees",
     "enumerate_trees",
     "unlabeled_type_key",
@@ -506,28 +509,74 @@ def _rooted_binary_families(mask: int) -> tuple[tuple[int, ...], ...]:
     return tuple(fams)
 
 
-def _curve_trees_in_class(pi: DistinguishedPartition) -> list[StableTree]:
-    """All curve trees whose 4-flag vertex reads off ``pi``."""
+def _class_size(pi: DistinguishedPartition) -> int:
+    """Number of curve trees in the class of ``pi``, by closed formula.
+
+    A block of k labels hangs below the 4-flag vertex as a rooted trivalent
+    tree on k tails, of which there are (2k - 3)!!; blocks choose their
+    trees independently.
+    """
+    return math.prod(
+        math.prod(range(1, 2 * m.bit_count() - 2, 2)) for m in pi.block_masks
+    )
+
+
+def _curve_trees_in_class(pi: DistinguishedPartition) -> Iterator[StableTree]:
+    """Every curve tree whose 4-flag vertex reads off ``pi``, one at a time."""
     s = pi.label_set
     options = []
     for block in pi.block_masks:
         if block.bit_count() >= 2:
             options.append([(block,) + fam for fam in _rooted_binary_families(block)])
-    out = []
     for chosen in product(*options):
-        masks = [m for group in chosen for m in group]
-        out.append(_from_cut_masks(s, masks))
-    return out
+        yield _from_cut_masks(s, [m for group in chosen for m in group])
 
 
-def enumerate_curve_trees(s: LabelSet, max_n: int | None = None) -> list[StableTree]:
-    """All stable trees with n - 4 edges, grouped by their 4-block partition."""
+class CurveTrees(abc.Sequence):
+    """The curve trees over a label set, built one at a time as they are read.
+
+    Trees come grouped by their 4-block partition, classes in the order of
+    :func:`enumerate_distinguished`.  The length is the closed-form count,
+    so it costs no tree; indexing and slicing walk the trees up to the
+    requested position.  Every iteration starts afresh.
+    """
+
+    def __init__(self, classes: Sequence[DistinguishedPartition]):
+        self._classes = tuple(classes)
+        self._len = sum(_class_size(pi) for pi in self._classes)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> Iterator[StableTree]:
+        produced = 0
+        for pi in self._classes:
+            for tree in _curve_trees_in_class(pi):
+                produced += 1
+                yield tree
+        _check_internal(produced == self._len, "curve tree count disagrees with its closed form")
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            picked = range(self._len)[index]
+            if not picked:
+                return []
+            if picked.step > 0:
+                return list(islice(self, picked.start, picked.stop, picked.step))
+            return list(islice(self, picked[-1], picked.start + 1, -picked.step))[::-1]
+        i = range(self._len)[index]
+        return next(islice(self, i, None))
+
+
+def enumerate_curve_trees(s: LabelSet, max_n: int | None = None) -> CurveTrees:
+    """All stable trees with n - 4 edges, grouped by their 4-block partition.
+
+    The result is a lazy sequence: it holds the 4-block partitions, and
+    builds each tree only when iteration reaches it.
+    """
     _require_labels(s, 4)
     _require_bound(s, max_n)
-    out: list[StableTree] = []
-    for pi in enumerate_distinguished(s, max_n=max_n):
-        out.extend(_curve_trees_in_class(pi))
-    return out
+    return CurveTrees(enumerate_distinguished(s, max_n=max_n))
 
 
 def enumerate_trees(s: LabelSet, codim: int, max_n: int | None = None) -> list[StableTree]:

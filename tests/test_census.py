@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import pytest
 
@@ -149,6 +150,24 @@ def test_class_size_oracle_matches_enumeration():
             per_class[pi] = per_class.get(pi, 0) + 1
         for pi in enumerate_distinguished(s):
             assert per_class[pi] == class_size_oracle(pi)
+
+
+def traced_peak_mib(fn):
+    """Peak of the Python memory ``fn`` allocates while it runs, in MiB."""
+    tracemalloc.start()
+    try:
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / 2**20
+
+
+def test_census_holds_one_curve_tree_at_a_time():
+    s = LabelSet.numbered(8)
+    run_census(s)  # fills the per-block family cache
+    assert traced_peak_mib(lambda: run_census(s)) < 3
+    assert traced_peak_mib(lambda: enumerate_curve_trees(s)) < 1
 
 
 def test_classes_by_shape():

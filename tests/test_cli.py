@@ -3,11 +3,17 @@
 from __future__ import annotations
 
 import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from stablecurves import __version__
-from stablecurves.cli import ENV_MAX_N, main
+import stablecurves
+from stablecurves import DistinguishedPartition, LabelSet, TwoPartition, __version__
+from stablecurves.cli import ENV_MAX_N, main, parse_distinguished, parse_two_partition
 
 
 def run(capsys, *argv):
@@ -175,6 +181,31 @@ def test_minus_k_comma_literal(capsys):
     assert payload["result"] == {"closed": 0}
 
 
+def test_minus_k_multi_digit_singletons(capsys):
+    payload = run_json(capsys, "minus-k", "--pi", "1,2,3,4,5,6,7|8|9|10")
+    assert payload["result"] == {"closed": 1, "equal": True, "expanded": 1}
+
+
+def test_partition_literals_round_trip_at_two_digit_labels():
+    rng = random.Random(10)
+    for n in (10, 11, 12):
+        s = LabelSet.numbered(n)
+        top = list(range(1, n - 2))
+        classes = [DistinguishedPartition.of(s, [top, [n - 2], [n - 1], [n]])]
+        divisors = [TwoPartition.of(s, [n - 1, n])]
+        for _ in range(100):
+            labels = list(s.labels)
+            rng.shuffle(labels)
+            cuts = sorted(rng.sample(range(1, n), 3))
+            blocks = [labels[a:b] for a, b in zip([0] + cuts, cuts + [n])]
+            classes.append(DistinguishedPartition.of(s, blocks))
+            divisors.append(TwoPartition.of(s, labels[: rng.randrange(2, n - 1)]))
+        for pi in classes:
+            assert parse_distinguished(pi.literal()) == pi, pi.literal()
+        for sigma in divisors:
+            assert parse_two_partition(sigma.literal()) == sigma, sigma.literal()
+
+
 # --------------------------------------------------------------- matrix
 
 
@@ -314,3 +345,33 @@ def test_unknown_choice_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["census", "--n", "5", "--format", "xml"])
     assert exc.value.code == 2
+
+
+# ------------------------------------------------- checks under python -O
+
+
+def run_python(*args):
+    src = str(Path(stablecurves.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env, timeout=120)
+
+
+def test_census_output_unchanged_under_optimize():
+    plain = run_python("-m", "stablecurves", "census", "--n", "6")
+    optimized = run_python("-O", "-m", "stablecurves", "census", "--n", "6")
+    assert plain.returncode == optimized.returncode == 0
+    assert optimized.stdout == plain.stdout
+
+
+def test_census_cross_check_fails_under_optimize():
+    script = (
+        "import itertools, sys\n"
+        "from stablecurves import census, cli\n"
+        "degrees = itertools.count()\n"
+        "census.minus_k_closed = lambda pi: next(degrees)\n"
+        "sys.exit(cli.main(['census', '--n', '6']))\n"
+    )
+    done = run_python("-O", "-c", script)
+    assert done.returncode == 4, done.stderr
+    assert b"type mixes degrees" in done.stderr

@@ -7,11 +7,14 @@ plain reachability, never through the canonical bitmask representation.
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from collections.abc import Sequence
+from itertools import combinations, product
 
 import pytest
 
 from stablecurves import (
+    CurveTrees,
+    InternalCheckError,
     InvariantError,
     LabelSet,
     PartitionSetSignature,
@@ -33,6 +36,8 @@ from stablecurves import (
     tree_violations,
     unlabeled_type_key,
 )
+from stablecurves import trees as trees_module
+from stablecurves.census import class_size_oracle
 
 
 # ---------------------------------------------------------------- oracles
@@ -375,6 +380,66 @@ def test_curve_tree_counts_frozen():
     assert len(enumerate_curve_trees(LabelSet.numbered(5))) == 10
     assert len(enumerate_curve_trees(LabelSet.numbered(6))) == 105
     assert len(enumerate_curve_trees(LabelSet.numbered(7))) == 1260
+
+
+def eager_curve_trees(s):
+    """Every curve tree as one list: per class, the product of block families."""
+    out = []
+    for pi in enumerate_distinguished(s):
+        options = [
+            [(block,) + fam for fam in trees_module._rooted_binary_families(block)]
+            for block in pi.block_masks
+            if block.bit_count() >= 2
+        ]
+        for chosen in product(*options):
+            masks = [m for group in chosen for m in group]
+            out.append(trees_module._from_cut_masks(s, masks))
+    return out
+
+
+def test_curve_trees_iterate_to_their_closed_form_count():
+    for n in range(4, 9):
+        s = LabelSet.numbered(n)
+        curves = enumerate_curve_trees(s)
+        walked = list(curves)
+        assert len(walked) == len(curves)
+        assert len(walked) == sum(class_size_oracle(pi) for pi in enumerate_distinguished(s))
+        assert len(set(walked)) == len(walked)
+        assert walked == eager_curve_trees(s)
+        assert list(curves) == walked  # a second pass starts afresh
+
+
+def test_curve_trees_index_and_slice_like_a_list():
+    curves = enumerate_curve_trees(LabelSet.numbered(6))
+    assert isinstance(curves, CurveTrees) and isinstance(curves, Sequence)
+    walked = list(curves)
+    for i in (0, 1, 57, 104, -1, -105):
+        assert curves[i] == walked[i]
+    for cut in (slice(None, 20), slice(3, 100, 9), slice(100, 3, -3), slice(None, None, -7),
+                slice(-3, None), slice(200, None), slice(5, 5)):
+        assert curves[cut] == walked[cut]
+    for i in (105, -106):
+        with pytest.raises(IndexError):
+            curves[i]
+
+
+def test_curve_trees_validate_at_call_time():
+    with pytest.raises(InvariantError):
+        enumerate_curve_trees(LabelSet.numbered(3))
+    with pytest.raises(InvariantError):
+        enumerate_curve_trees(LabelSet.numbered(9), max_n=8)
+
+
+def test_curve_trees_check_their_count(monkeypatch):
+    curves = enumerate_curve_trees(LabelSet.numbered(6))
+    real = trees_module._curve_trees_in_class
+
+    def one_short(pi):
+        return list(real(pi))[1:]
+
+    monkeypatch.setattr(trees_module, "_curve_trees_in_class", one_short)
+    with pytest.raises(InternalCheckError, match="closed form"):
+        list(curves)
 
 
 def test_curve_trees_have_one_quadrivalent_vertex():
