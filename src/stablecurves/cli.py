@@ -37,12 +37,12 @@ from .partitions import (
 )
 from .trees import (
     StableTree,
-    edge_cut,
+    _from_cut_masks,
+    _input_cuts,
     forget_and_stabilize,
     make_tree,
     pi_of_tree,
     signature,
-    tree_from_signature,
     tree_violations,
 )
 
@@ -74,7 +74,7 @@ def _block_tokens(block: str, whole: bool = False) -> list[str]:
     """
     if "," in block:
         tokens = [t.strip() for t in block.split(",")]
-    elif whole:
+    elif whole and block:
         tokens = [block]
     else:
         tokens = list(block)
@@ -124,19 +124,23 @@ def parse_distinguished(text: str) -> DistinguishedPartition:
 
 
 def parse_tree_literal(text: str) -> tuple[list[list], list[tuple[int, int]], LabelSet]:
-    """Tree literal: '[a,b];[c];[d,e]/0-1,1-2' (edge part optional when empty)."""
+    """Tree literal: '[a,b];[c];[d,e]/0-1,1-2' (edge part optional when empty).
+
+    As in partition literals, once any vertex holds a comma a vertex
+    without one holds a single label, as in ``[1,2,3,4,5,6,7];[8];[9,10]``.
+    """
     text = text.strip()
     if "/" in text:
         vertex_part, _, edge_part = text.partition("/")
     else:
         vertex_part, edge_part = text, ""
+    separated = "," in vertex_part
     vertex_tails: list[list[str]] = []
     for chunk in vertex_part.split(";"):
         chunk = chunk.strip()
         if not (chunk.startswith("[") and chunk.endswith("]")):
             raise ParseError(f"vertex {chunk!r} is not bracketed")
-        inner = chunk[1:-1].strip()
-        vertex_tails.append(_block_tokens(inner) if inner else [])
+        vertex_tails.append(_block_tokens(chunk[1:-1].strip(), whole=separated))
     flat = [t for ts in vertex_tails for t in ts]
     normalized = _normalize_tokens(flat)
     it = iter(normalized)
@@ -163,7 +167,13 @@ def parse_edge(text: str) -> tuple[int, int]:
 
 
 def parse_forget_set(text: str, s: LabelSet) -> list:
-    tokens = _block_tokens(text.strip())
+    """Labels to forget: comma-separated, or juxtaposed single characters.
+
+    A set without commas is one label when any label of ``s`` prints with
+    more than one character, the rule :func:`format_blocks` writes by.
+    """
+    whole = any(len(str(t)) > 1 for t in s.labels)
+    tokens = _block_tokens(text.strip(), whole=whole)
     if all(isinstance(t, int) for t in s.labels):
         try:
             return [int(t) for t in tokens]
@@ -343,11 +353,10 @@ def _cmd_tree(args: argparse.Namespace) -> tuple[str, int]:
         if args.edge is None:
             raise ParseError("--edge is required for the contract action")
         i, j = parse_edge(args.edge)
-        if not any(set(e) == {i, j} for e in ((tuple(x) for x in edges))):
+        if not any(set(e) == {i, j} for e in edges):
             raise InvariantError(f"unknown edge ({i}, {j}) in the input tree")
-        cut = _input_edge_cut(tails, edges, s, (i, j))
-        remaining = [p for p in signature(t).partitions if p != cut]
-        contracted = tree_from_signature(remaining, s)
+        cuts = _input_cuts([s.mask_of(ts) for ts in tails], edges)
+        contracted = _from_cut_masks(s, [c for e, c in zip(edges, cuts) if set(e) != {i, j}])
         parameters["edge"] = args.edge
         result = {"tree": _tree_payload(contracted)}
     elif args.action == "forget":
@@ -370,26 +379,6 @@ def _cmd_tree(args: argparse.Namespace) -> tuple[str, int]:
     else:  # pragma: no cover - argparse restricts the choices
         raise ParseError(f"unknown tree action {args.action!r}")
     return _dump(_envelope("tree", parameters, result)), EXIT_OK
-
-
-def _input_edge_cut(tails, edges, s: LabelSet, edge: tuple[int, int]) -> TwoPartition:
-    """Cut of an edge named in the caller's own vertex numbering."""
-    adj: dict[int, list[int]] = {v: [] for v in range(len(tails))}
-    for i, j in (tuple(e) for e in edges):
-        adj[i].append(j)
-        adj[j].append(i)
-    i, j = edge
-    side = set()
-    stack = [j]
-    seen = {i, j}
-    while stack:
-        v = stack.pop()
-        side.update(tails[v])
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return TwoPartition.of(s, side)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -68,6 +68,11 @@ def minus_k_closed(pi: DistinguishedPartition) -> int:
     return 2 - len(n_set(pi))
 
 
+def _minus_k_coefficient(sigma: TwoPartition) -> Fraction:
+    """Coefficient of the divisor of ``sigma`` in the anticanonical class."""
+    return 2 - Fraction(c_weight(sigma), sigma.label_set.n - 1)
+
+
 def minus_k_divisor_coefficients(s: LabelSet, max_n: int | None = None) -> dict[TwoPartition, Fraction]:
     """Coefficients expressing the anticanonical class over the boundary divisors.
 
@@ -76,10 +81,10 @@ def minus_k_divisor_coefficients(s: LabelSet, max_n: int | None = None) -> dict[
     enumeration order.
     """
     _require_labels(s, 4)
-    out: dict[TwoPartition, Fraction] = {}
-    for sigma in enumerate_stable_two_partitions(s, max_n=max_n):
-        out[sigma] = 2 - Fraction(c_weight(sigma), s.n - 1)
-    return out
+    return {
+        sigma: _minus_k_coefficient(sigma)
+        for sigma in enumerate_stable_two_partitions(s, max_n=max_n)
+    }
 
 
 def minus_k_expanded(pi_or_tree: DistinguishedPartition | StableTree) -> Fraction:
@@ -95,13 +100,8 @@ def minus_k_expanded(pi_or_tree: DistinguishedPartition | StableTree) -> Fractio
     else:
         pi = pi_or_tree
     _require_labels(pi.label_set, 5)
-    plus = p_set(pi)
-    minus = n_set(pi)
-    denom = pi.label_set.n - 1
-    total = Fraction(2 * (len(plus) - len(minus)))
-    total -= Fraction(sum(c_weight(sig) for sig in plus), denom)
-    total += Fraction(sum(c_weight(sig) for sig in minus), denom)
-    return total
+    plus = sum(map(_minus_k_coefficient, p_set(pi)), Fraction(0))
+    return plus - sum(map(_minus_k_coefficient, n_set(pi)), Fraction(0))
 
 
 def k_plus_b_pairing(pi: DistinguishedPartition) -> int:

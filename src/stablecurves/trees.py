@@ -3,10 +3,10 @@
 A stable tree carries the labels as tails on its vertices; every vertex has
 at least three flags (tails plus edge ends).  Cutting any edge splits the
 labels into a stable 2-partition, and the set of these cuts determines the
-tree up to isomorphism.  Internally a tree is rebuilt from its cut family,
-which yields one canonical vertex numbering per isomorphism class: vertex 0
-holds the smallest label and the rest follow in breadth-first order, each
-edge stored as (parent, child).
+tree up to isomorphism.  A tree is therefore stored as its cut family, and
+its vertices and edges are derived from it in one canonical numbering per
+isomorphism class: vertex 0 holds the smallest label and the rest follow in
+breadth-first order, each edge stored as (parent, child).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from collections import abc, deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, islice, product
 from typing import Iterable, Iterator, Sequence
 
@@ -27,6 +27,7 @@ from .partitions import (
     _low_bit,
     _require_bound,
     _require_labels,
+    bits_of,
     compatible,
     enumerate_distinguished,
     enumerate_stable_two_partitions,
@@ -54,25 +55,74 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StableTree:
-    """A stable tree in canonical form.
+    """A stable tree, stored as its family of edge cuts.
 
+    ``cuts`` holds, for every edge, the side of its cut that avoids the
+    smallest label, as a bitmask; the masks are sorted as integers.
     Instances should be produced by :func:`make_tree`,
     :func:`tree_from_signature` or the enumerators; the constructor does not
     re-canonicalize.  Structural equality then coincides with isomorphism
     over the same label set.
+
+    ``vertex_tails`` and ``edges`` are derived from the cuts on first use,
+    in the canonical numbering the module docstring describes.
     """
 
     label_set: LabelSet
-    vertex_tails: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
+    cuts: tuple[int, ...]
+
+    @cached_property
+    def _layout(self) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...], tuple[int, ...]]:
+        """Vertex tails, (parent, child) edges and the cut of each edge."""
+        fam = self.cuts
+        # Parent of a cut is its smallest proper superset in the family.
+        kids: dict[int, list[int]] = {x: [] for x in fam}
+        top: list[int] = []
+        for x in fam:
+            best = None
+            for y in fam:
+                if x != y and x & y == x:
+                    if best is None or y & best == y:
+                        best = y
+            (top if best is None else kids[best]).append(x)
+        top.sort(key=_low_bit)
+        for lst in kids.values():
+            lst.sort(key=_low_bit)
+
+        covered = 0
+        for m in top:
+            covered |= m
+        vertex_tails = [self.label_set.full_mask & ~covered]
+        edges: list[tuple[int, int]] = []
+        edge_cuts: list[int] = []
+        queue = deque((m, 0) for m in top)
+        while queue:
+            m, pidx = queue.popleft()
+            idx = len(vertex_tails)
+            inner = 0
+            for c in kids[m]:
+                inner |= c
+            vertex_tails.append(m & ~inner)
+            edges.append((pidx, idx))
+            edge_cuts.append(m)
+            queue.extend((c, idx) for c in kids[m])
+        return tuple(vertex_tails), tuple(edges), tuple(edge_cuts)
+
+    @property
+    def vertex_tails(self) -> tuple[int, ...]:
+        return self._layout[0]
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        return self._layout[1]
 
     @property
     def n_vertices(self) -> int:
-        return len(self.vertex_tails)
+        return len(self.cuts) + 1
 
     @property
     def codimension(self) -> int:
-        return len(self.edges)
+        return len(self.cuts)
 
     def tails_at(self, v: int) -> tuple:
         return self.label_set.labels_of(self.vertex_tails[v])
@@ -120,51 +170,10 @@ def _from_cut_masks(s: LabelSet, masks: Iterable[int]) -> StableTree:
     laminar with all parts of size 2 to n - 2.
     """
     full = s.full_mask
-    fam: list[int] = []
-    seen = set()
-    for m in masks:
-        norm = m if not m & 1 else full ^ m
-        if norm in seen:
-            raise InvariantError("duplicate cut in tree description")
-        seen.add(norm)
-        fam.append(norm)
-    # Parent of a cut is its smallest proper superset in the family.
-    parent: dict[int, int | None] = {}
-    for x in fam:
-        best = None
-        for y in fam:
-            if x != y and x & y == x:
-                if best is None or y & best == y:
-                    best = y
-        parent[x] = best
-    kids: dict[int, list[int]] = {x: [] for x in fam}
-    top: list[int] = []
-    for x in fam:
-        p = parent[x]
-        if p is None:
-            top.append(x)
-        else:
-            kids[p].append(x)
-    top.sort(key=_low_bit)
-    for lst in kids.values():
-        lst.sort(key=_low_bit)
-
-    covered = 0
-    for m in top:
-        covered |= m
-    vertex_tails = [full & ~covered]
-    edges: list[tuple[int, int]] = []
-    queue = deque((m, 0) for m in top)
-    while queue:
-        m, pidx = queue.popleft()
-        idx = len(vertex_tails)
-        inner = 0
-        for c in kids[m]:
-            inner |= c
-        vertex_tails.append(m & ~inner)
-        edges.append((pidx, idx))
-        queue.extend((c, idx) for c in kids[m])
-    return StableTree(s, tuple(vertex_tails), tuple(edges))
+    fam = sorted(m if not m & 1 else full ^ m for m in masks)
+    if len(set(fam)) != len(fam):
+        raise InvariantError("duplicate cut in tree description")
+    return StableTree(s, tuple(fam))
 
 
 def tree_violations(
@@ -263,30 +272,32 @@ def make_tree(
     problems = tree_violations(vertex_tails, edges, s)
     if problems:
         raise InvariantError("; ".join(problems))
-    tails = [s.mask_of(ts) for ts in vertex_tails]
-    adj: list[list[int]] = [[] for _ in tails]
-    for i, j in (tuple(e) for e in edges):
+    return _from_cut_masks(s, _input_cuts([s.mask_of(ts) for ts in vertex_tails], edges))
+
+
+def _input_cuts(tail_masks: Sequence[int], edges: Sequence[tuple[int, int]]) -> list[int]:
+    """Cut of each edge ``(i, j)`` of a valid raw tree, in the caller's numbering.
+
+    Each cut is given as the union of the tails on the side of ``j``.
+    """
+    adj: list[list[int]] = [[] for _ in tail_masks]
+    for i, j in edges:
         adj[i].append(j)
         adj[j].append(i)
     cuts = []
-    for i, j in (tuple(e) for e in edges):
-        cuts.append(_side_mask(tails, adj, j, i))
-    return _from_cut_masks(s, cuts)
-
-
-def _side_mask(tails: Sequence[int], adj: Sequence[Sequence[int]], start: int, banned: int) -> int:
-    """Union of tails reachable from ``start`` without passing ``banned``."""
-    mask = 0
-    stack = [start]
-    seen = {start, banned}
-    while stack:
-        v = stack.pop()
-        mask |= tails[v]
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return mask
+    for i, j in edges:
+        mask = 0
+        stack = [j]
+        seen = {i, j}
+        while stack:
+            v = stack.pop()
+            mask |= tail_masks[v]
+            for w in adj[v]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        cuts.append(mask)
+    return cuts
 
 
 def _adjacency(t: StableTree) -> list[list[int]]:
@@ -295,10 +306,6 @@ def _adjacency(t: StableTree) -> list[list[int]]:
         adj[i].append(j)
         adj[j].append(i)
     return adj
-
-
-def _flag_count(t: StableTree, v: int, adj: Sequence[Sequence[int]]) -> int:
-    return t.vertex_tails[v].bit_count() + len(adj[v])
 
 
 def edge_cut(t: StableTree, e: Sequence[int]) -> TwoPartition:
@@ -310,29 +317,16 @@ def edge_cut(t: StableTree, e: Sequence[int]) -> TwoPartition:
     if len(pair) != 2:
         raise InvariantError(f"malformed edge {pair!r}")
     i, j = pair
-    if (i, j) in t.edges:
-        parent, child = i, j
-    elif (j, i) in t.edges:
-        parent, child = j, i
-    else:
-        raise InvariantError(f"unknown edge ({i}, {j})")
-    adj = _adjacency(t)
-    mask = _side_mask(t.vertex_tails, adj, child, parent)
-    if mask & 1:
-        mask = t.label_set.full_mask ^ mask
-    return TwoPartition(t.label_set, mask)
+    _, edges, edge_cuts = t._layout
+    for edge, mask in zip(edges, edge_cuts):
+        if edge == (i, j) or edge == (j, i):
+            return TwoPartition(t.label_set, mask)
+    raise InvariantError(f"unknown edge ({i}, {j})")
 
 
 def signature(t: StableTree) -> PartitionSetSignature:
     """The set of edge cuts of ``t``, the complete isomorphism invariant."""
-    adj = _adjacency(t)
-    full = t.label_set.full_mask
-    cuts = []
-    for parent, child in t.edges:
-        mask = _side_mask(t.vertex_tails, adj, child, parent)
-        if mask & 1:
-            mask = full ^ mask
-        cuts.append(TwoPartition(t.label_set, mask))
+    cuts = [TwoPartition(t.label_set, m) for m in t.cuts]
     cuts.sort(key=partition_sort_key)
     return PartitionSetSignature(t.label_set, tuple(cuts))
 
@@ -357,94 +351,43 @@ def tree_from_signature(
                 raise InvariantError("label set required for an empty signature")
             s = parts[0].label_set
         resolved = PartitionSetSignature.of(s, parts)
-    return _from_cut_masks(resolved.label_set, [p.part_b_mask for p in resolved.partitions])
+    masks = sorted(p.part_b_mask for p in resolved.partitions)
+    return StableTree(resolved.label_set, tuple(masks))
 
 
 def contract_edge(t: StableTree, e: Sequence[int]) -> StableTree:
     """The tree with edge ``e`` contracted (its endpoints merged)."""
-    cut = edge_cut(t, e)
-    masks = [p.part_b_mask for p in signature(t).partitions if p != cut]
-    return _from_cut_masks(t.label_set, masks)
+    cut = edge_cut(t, e).part_b_mask
+    return StableTree(t.label_set, tuple(m for m in t.cuts if m != cut))
 
 
 def forget_and_stabilize(t: StableTree, q: Iterable) -> StableTree:
     """Remove the labels in ``q`` and restabilize.
 
-    Vertices left with fewer than three flags are repaired: a bare vertex of
-    degree two is smoothed away, a degree-one vertex hands any remaining
-    tail to its neighbor and disappears.  At least three labels must stay.
+    Every cut is restricted to the kept labels, and the restrictions that
+    are still stable 2-partitions are the cuts of the result; this is the
+    same as smoothing away bare vertices of degree two and merging
+    degree-one vertices into their neighbors.  At least three labels must
+    stay.
     """
     s = t.label_set
-    q_mask = s.mask_of(q)
-    keep_mask = s.full_mask ^ q_mask
+    keep_mask = s.full_mask ^ s.mask_of(q)
     if keep_mask.bit_count() < 3:
         raise InvariantError("remaining label set too small: need at least 3 labels")
-
-    tails = [m & keep_mask for m in t.vertex_tails]
-    adj: list[set[int]] = [set() for _ in range(t.n_vertices)]
-    for i, j in t.edges:
-        adj[i].add(j)
-        adj[j].add(i)
-    alive = set(range(t.n_vertices))
-    queue = deque(alive)
-    while queue:
-        v = queue.popleft()
-        if v not in alive:
-            continue
-        deg = len(adj[v])
-        flags = deg + tails[v].bit_count()
-        if flags >= 3 or deg == 0:
-            continue
-        if deg == 2 and tails[v] == 0:
-            a, b = adj[v]
-            adj[a].discard(v)
-            adj[b].discard(v)
-            adj[a].add(b)
-            adj[b].add(a)
-            alive.discard(v)
-        elif deg == 1:
-            (a,) = adj[v]
-            adj[a].discard(v)
-            tails[a] |= tails[v]
-            alive.discard(v)
-            queue.append(a)
-
-    kept_labels = [s.labels[i] for i in range(s.n) if keep_mask >> i & 1]
-    new_s = LabelSet(tuple(kept_labels))
-    remap = {}
-    new_bit = 0
-    for i in range(s.n):
-        if keep_mask >> i & 1:
-            remap[i] = new_bit
-            new_bit += 1
-
-    def translate(mask: int) -> int:
-        out = 0
-        m = mask
-        while m:
-            low = m & -m
-            out |= 1 << remap[low.bit_length() - 1]
-            m ^= low
-        return out
-
-    new_tails = {v: translate(tails[v]) for v in alive}
-    live_adj = {v: [w for w in adj[v]] for v in alive}
-    cuts = []
-    for v in alive:
-        for w in live_adj[v]:
-            if v < w:
-                mask = 0
-                stack = [w]
-                seen = {w, v}
-                while stack:
-                    x = stack.pop()
-                    mask |= new_tails[x]
-                    for y in live_adj[x]:
-                        if y not in seen:
-                            seen.add(y)
-                            stack.append(y)
-                cuts.append(mask)
-    return _from_cut_masks(new_s, cuts)
+    kept = bits_of(keep_mask)
+    new_s = LabelSet(tuple(s.labels[i] for i in kept))
+    full = new_s.full_mask
+    cuts = set()
+    for m in t.cuts:
+        r = 0
+        for new_bit, old_bit in enumerate(kept):
+            if m >> old_bit & 1:
+                r |= 1 << new_bit
+        if r & 1:
+            r ^= full
+        if r.bit_count() >= 2 and (full ^ r).bit_count() >= 2:
+            cuts.add(r)
+    return StableTree(new_s, tuple(sorted(cuts)))
 
 
 def exceptional_vertex(t: StableTree) -> int:
@@ -458,8 +401,11 @@ def exceptional_vertex(t: StableTree) -> int:
         raise InvariantError(
             f"not a curve tree: expected {n - 4} edges, got {t.codimension}"
         )
-    adj = _adjacency(t)
-    quad = [v for v in range(t.n_vertices) if _flag_count(t, v, adj) == 4]
+    flags = [m.bit_count() for m in t.vertex_tails]
+    for i, j in t.edges:
+        flags[i] += 1
+        flags[j] += 1
+    quad = [v for v, f in enumerate(flags) if f == 4]
     if len(quad) != 1:
         raise InvariantError("not a curve tree: no unique 4-flag vertex")
     return quad[0]
@@ -472,10 +418,14 @@ def pi_of_tree(t: StableTree) -> DistinguishedPartition:
     contributes the labels on its far side.
     """
     v0 = exceptional_vertex(t)
-    adj = _adjacency(t)
-    blocks = [1 << i for i in range(t.label_set.n) if t.vertex_tails[v0] >> i & 1]
-    for w in adj[v0]:
-        blocks.append(_side_mask(t.vertex_tails, adj, w, v0))
+    vertex_tails, edges, edge_cuts = t._layout
+    blocks = [1 << i for i in bits_of(vertex_tails[v0])]
+    for (parent, child), cut in zip(edges, edge_cuts):
+        # The cut of an edge is the side of its child, away from vertex 0.
+        if parent == v0:
+            blocks.append(cut)
+        elif child == v0:
+            blocks.append(t.label_set.full_mask ^ cut)
     blocks.sort(key=_low_bit)
     return DistinguishedPartition(t.label_set, tuple(blocks))
 
@@ -650,9 +600,11 @@ def unlabeled_type_key(t: StableTree) -> str:
         roots = [exceptional_vertex(t)]
     else:
         roots = _centroids(t, adj)
+    return min(_shape_code(t.vertex_tails, adj, r, -1) for r in roots)
 
-    def enc(v: int, parent: int) -> str:
-        kids = sorted(enc(w, v) for w in adj[v] if w != parent)
-        return f"{t.vertex_tails[v].bit_count()}[{','.join(kids)}]"
 
-    return min(enc(r, -1) for r in roots)
+def _shape_code(tails: Sequence[int], adj: Sequence[Sequence[int]], v: int, parent: int) -> str:
+    # A module-level function, not a closure: a self-referencing closure
+    # would hold each tree in a reference cycle until the collector runs.
+    kids = sorted(_shape_code(tails, adj, w, v) for w in adj[v] if w != parent)
+    return f"{tails[v].bit_count()}[{','.join(kids)}]"

@@ -12,8 +12,24 @@ from pathlib import Path
 import pytest
 
 import stablecurves
-from stablecurves import DistinguishedPartition, LabelSet, TwoPartition, __version__
-from stablecurves.cli import ENV_MAX_N, main, parse_distinguished, parse_two_partition
+from stablecurves import (
+    DistinguishedPartition,
+    LabelSet,
+    TwoPartition,
+    __version__,
+    compatible,
+    enumerate_stable_two_partitions,
+    forget_and_stabilize,
+    signature,
+    tree_from_signature,
+)
+from stablecurves.cli import (
+    ENV_MAX_N,
+    main,
+    parse_distinguished,
+    parse_forget_set,
+    parse_two_partition,
+)
 
 
 def run(capsys, *argv):
@@ -204,6 +220,51 @@ def test_partition_literals_round_trip_at_two_digit_labels():
             assert parse_distinguished(pi.literal()) == pi, pi.literal()
         for sigma in divisors:
             assert parse_two_partition(sigma.literal()) == sigma, sigma.literal()
+
+
+def tree_literal(t):
+    vertices = ";".join(
+        "[" + ",".join(str(x) for x in t.tails_at(v)) + "]" for v in range(t.n_vertices)
+    )
+    edges = ",".join(f"{i}-{j}" for i, j in t.edges)
+    return f"{vertices}/{edges}" if edges else vertices
+
+
+def test_tree_and_forget_literals_round_trip_at_two_digit_labels(capsys):
+    rng = random.Random(11)
+    for n in (10, 11, 12):
+        s = LabelSet.numbered(n)
+        divisors = list(enumerate_stable_two_partitions(s))
+        for _ in range(15):
+            rng.shuffle(divisors)
+            cuts: list = []
+            for sigma in divisors[: rng.randrange(len(divisors))]:
+                if len(cuts) < n - 3 and all(compatible(sigma, c) for c in cuts):
+                    cuts.append(sigma)
+            t = tree_from_signature(cuts, s)
+            literal = tree_literal(t)
+            payload = run_json(capsys, "tree", "--action", "signature", "--tree", literal)
+            assert payload["result"]["signature"] == [p.literal() for p in signature(t).partitions]
+            q = rng.sample(s.labels, rng.randint(1, n - 3))
+            text = ",".join(str(x) for x in q)
+            assert parse_forget_set(text, s) == q
+            payload = run_json(
+                capsys, "tree", "--action", "forget", "--tree", literal, "--forget-set", text
+            )
+            reduced = forget_and_stabilize(t, q)
+            assert payload["result"]["labels"] == list(reduced.label_set.labels)
+            assert payload["result"]["tree"] == {
+                "vertices": [list(reduced.tails_at(v)) for v in range(reduced.n_vertices)],
+                "edges": [list(e) for e in reduced.edges],
+            }
+        for label in s.labels:
+            assert parse_forget_set(str(label), s) == [label]
+
+
+def test_forget_set_without_commas_is_per_character_for_one_digit_labels():
+    assert parse_forget_set("12", LabelSet.numbered(6)) == [1, 2]
+    assert parse_forget_set("ce", LabelSet.of("abcdef")) == ["c", "e"]
+    assert parse_forget_set("", LabelSet.numbered(10)) == []
 
 
 # --------------------------------------------------------------- matrix

@@ -7,6 +7,7 @@ plain reachability, never through the canonical bitmask representation.
 from __future__ import annotations
 
 import math
+import random
 from collections.abc import Sequence
 from itertools import combinations, product
 
@@ -69,6 +70,32 @@ def cuts_by_reachability(vertex_tails, edges):
     return cuts
 
 
+def canonical_layout(vertex_tails, edges):
+    """The documented numbering of a raw description, found by plain search.
+
+    Vertex 0 holds the smallest label; the others follow breadth-first,
+    the children of a vertex in order of the smallest label below them.
+    """
+    adj = {v: [] for v in range(len(vertex_tails))}
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+
+    def smallest_below(v, parent):
+        return min([*vertex_tails[v], *(smallest_below(w, v) for w in adj[v] if w != parent)])
+
+    first = min(x for ts in vertex_tails for x in ts)
+    root = next(v for v, ts in enumerate(vertex_tails) if first in ts)
+    order, out_edges, queue = [root], [], [(root, -1)]
+    for v, parent in queue:
+        kids = sorted((w for w in adj[v] if w != parent), key=lambda w: smallest_below(w, v))
+        for w in kids:
+            out_edges.append((order.index(v), len(order)))
+            order.append(w)
+            queue.append((w, v))
+    return [tuple(sorted(vertex_tails[v])) for v in order], out_edges
+
+
 def forget_by_cut_restriction(t, q):
     """Forget oracle: restrict every cut to the kept labels, rebuild."""
     dropped = set(q)
@@ -81,6 +108,44 @@ def forget_by_cut_restriction(t, q):
         if len(a) >= 2 and len(b) >= 2:
             cuts.add(TwoPartition.of(new_s, b))
     return tree_from_signature(cuts, new_s)
+
+
+def forget_by_vertex_surgery(vertex_tails, edges, q):
+    """Forget oracle on a raw description: drop labels, repair vertices, rebuild.
+
+    A vertex left with fewer than three flags either hangs off one edge,
+    and hands its tails to its neighbor, or is a bare vertex of degree
+    two, and is smoothed away.
+    """
+    dropped = set(q)
+    tails = {v: [x for x in ts if x not in dropped] for v, ts in enumerate(vertex_tails)}
+    adj = {v: set() for v in tails}
+    for i, j in edges:
+        adj[i].add(j)
+        adj[j].add(i)
+    repaired = True
+    while repaired:
+        repaired = False
+        for v in list(tails):
+            if len(adj[v]) + len(tails[v]) >= 3:
+                continue
+            if len(adj[v]) == 1:
+                (w,) = adj[v]
+                tails[w] += tails[v]
+                adj[w].discard(v)
+            else:
+                a, b = adj[v]
+                adj[a].discard(v)
+                adj[a].add(b)
+                adj[b].discard(v)
+                adj[b].add(a)
+            del tails[v], adj[v]
+            repaired = True
+    order = sorted(tails)
+    index = {v: k for k, v in enumerate(order)}
+    edges = [(index[v], index[w]) for v in order for w in adj[v] if v < w]
+    kept = LabelSet.of(x for v in order for x in tails[v])
+    return make_tree([tails[v] for v in order], edges, kept)
 
 
 def rooted_trivalent_count(k):
@@ -116,6 +181,21 @@ def test_make_tree_is_canonical_under_relabeling_of_vertices():
     a = make_tree([[1, 2], [3, 4], [5, 6]], [(0, 1), (1, 2)], s)
     b = make_tree([[5, 6], [3, 4], [1, 2]], [(2, 1), (1, 0)], s)
     assert a == b
+
+
+def test_make_tree_numbers_vertices_breadth_first_from_the_smallest_label():
+    rng = random.Random(7)
+    for n in (4, 5, 6, 7):
+        s = LabelSet.numbered(n)
+        for codim in range(0, n - 2):
+            for t in enumerate_trees(s, codim):
+                order = list(range(t.n_vertices))
+                rng.shuffle(order)
+                tails = [t.tails_at(v) for v in order]
+                edges = [(order.index(i), order.index(j)) for i, j in t.edges]
+                got = make_tree(tails, edges, s)
+                derived = [got.tails_at(v) for v in range(got.n_vertices)]
+                assert (derived, list(got.edges)) == canonical_layout(tails, edges)
 
 
 def test_make_tree_rejects_unstable_vertex():
@@ -325,6 +405,20 @@ def test_forget_matches_cut_restriction_oracle():
             for t in enumerate_trees(s, codim):
                 for q in s.labels:
                     assert forget_and_stabilize(t, [q]) == forget_by_cut_restriction(t, [q])
+
+
+def test_forget_matches_vertex_surgery_oracle():
+    for n, largest_q in ((3, 0), (4, 1), (5, 2), (6, 3), (7, 2)):
+        s = LabelSet.numbered(n)
+        forget_sets = [
+            q for size in range(largest_q + 1) for q in combinations(s.labels, size)
+        ]
+        for codim in range(0, n - 2):
+            for t in enumerate_trees(s, codim):
+                tails = [t.tails_at(v) for v in range(t.n_vertices)]
+                for q in forget_sets:
+                    expect = forget_by_vertex_surgery(tails, t.edges, q)
+                    assert forget_and_stabilize(t, q) == expect, (tails, t.edges, q)
 
 
 def test_forget_order_independent_on_pairs():
