@@ -4,11 +4,16 @@ Every curve tree is enumerated, bucketed two ways: by unlabeled
 combinatorial type, and by the 4-block partition naming its numerical
 class.  Counts per class depend only on the block sizes, so classes are
 reported grouped by shape.
+
+The trees of one class arrive together, so the census keeps the type
+breakdown of the current class only.  When the class ends it is checked
+against the closed-form class size and folded into its shape's record,
+which every later class of that shape must match.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .partitions import (
     DistinguishedPartition,
@@ -101,7 +106,9 @@ def run_census(s: LabelSet, max_n: int | None = None) -> CensusReport:
     type_counts: dict[str, int] = {}
     type_rep: dict[str, StableTree] = {}
     type_minus_k: dict[str, int] = {}
-    class_breakdown: dict[DistinguishedPartition, dict[str, int]] = {}
+    shape_records: dict[tuple[int, ...], ClassShapeRecord] = {}
+    current: DistinguishedPartition | None = None
+    bucket: dict[str, int] = {}
 
     for tree in enumerate_curve_trees(s, max_n=max_n):
         pi = pi_of_tree(tree)
@@ -112,8 +119,13 @@ def run_census(s: LabelSet, max_n: int | None = None) -> CensusReport:
             type_minus_k[key] = minus_k_closed(pi)
         else:
             _check_internal(type_minus_k[key] == minus_k_closed(pi), "type mixes degrees")
-        bucket = class_breakdown.setdefault(pi, {})
+        if pi != current:
+            if current is not None:
+                _fold_class(shape_records, current, bucket)
+            current, bucket = pi, {}
         bucket[key] = bucket.get(key, 0) + 1
+    if current is not None:
+        _fold_class(shape_records, current, bucket)
 
     names = _n7_type_names() if s.n == 7 else {}
     types = tuple(
@@ -126,34 +138,9 @@ def run_census(s: LabelSet, max_n: int | None = None) -> CensusReport:
         )
         for key in sorted(type_counts, key=lambda k: (-type_counts[k], k))
     )
-
-    shape_classes: dict[tuple[int, ...], list[DistinguishedPartition]] = {}
-    for pi in class_breakdown:
-        shape_classes.setdefault(pi.shape, []).append(pi)
-    records = []
-    for shape in sorted(shape_classes, reverse=True):
-        members = shape_classes[shape]
-        breakdowns = [
-            tuple(sorted(class_breakdown[pi].items())) for pi in members
-        ]
-        _check_internal(
-            all(b == breakdowns[0] for b in breakdowns), "shape mixes breakdowns"
-        )
-        degrees = {minus_k_closed(pi) for pi in members}
-        _check_internal(len(degrees) == 1, "shape mixes degrees")
-        per_class = sum(count for _, count in breakdowns[0])
-        records.append(
-            ClassShapeRecord(
-                shape=shape,
-                class_count=len(members),
-                curves_per_class=per_class,
-                curves_per_class_by_type=breakdowns[0],
-                minus_k=degrees.pop(),
-            )
-        )
+    records = [shape_records[shape] for shape in sorted(shape_records, reverse=True)]
 
     total_curves = sum(type_counts.values())
-    total_classes = len(class_breakdown)
     _check_internal(
         total_curves == sum(r.class_count * r.curves_per_class for r in records),
         "type and class totals disagree",
@@ -163,8 +150,31 @@ def run_census(s: LabelSet, max_n: int | None = None) -> CensusReport:
         types=types,
         classes=tuple(records),
         total_curves=total_curves,
-        total_classes=total_classes,
+        total_classes=sum(r.class_count for r in records),
     )
+
+
+def _fold_class(
+    shape_records: dict[tuple[int, ...], ClassShapeRecord],
+    pi: DistinguishedPartition,
+    bucket: dict[str, int],
+) -> None:
+    """Fold one finished class, its trees counted by type, into its shape's record.
+
+    The first class of a shape sets the record's breakdown and degree; every
+    later class must repeat them.
+    """
+    curves = sum(bucket.values())
+    _check_internal(curves == _class_size(pi), "class tree count disagrees with its closed form")
+    breakdown = tuple(sorted(bucket.items()))
+    degree = minus_k_closed(pi)
+    record = shape_records.get(pi.shape)
+    if record is None:
+        shape_records[pi.shape] = ClassShapeRecord(pi.shape, 1, curves, breakdown, degree)
+        return
+    _check_internal(record.curves_per_class_by_type == breakdown, "shape mixes breakdowns")
+    _check_internal(record.minus_k == degree, "shape mixes degrees")
+    shape_records[pi.shape] = replace(record, class_count=record.class_count + 1)
 
 
 def class_size_oracle(pi: DistinguishedPartition) -> int:

@@ -32,15 +32,12 @@ from .partitions import (
     LabelSet,
     TwoPartition,
     _check_internal,
-    n_set,
-    p_set,
 )
 from .trees import (
     StableTree,
     _from_cut_masks,
     _input_cuts,
     forget_and_stabilize,
-    make_tree,
     pi_of_tree,
     signature,
     tree_violations,
@@ -336,13 +333,17 @@ def _cmd_tree(args: argparse.Namespace) -> tuple[str, int]:
     tails, edges, s = parse_tree_literal(args.tree)
     parameters = {"action": args.action, "tree": args.tree}
 
+    problems = tree_violations(tails, edges, s)
     if args.action == "validate":
-        problems = tree_violations(tails, edges, s)
         result = {"valid": not problems, "violations": problems}
         text = _dump(_envelope("tree", parameters, result))
         return text, (EXIT_OK if not problems else EXIT_INVARIANT)
+    if problems:
+        raise InvariantError("; ".join(problems))
 
-    t = make_tree(tails, edges, s)
+    # One side-of-edge search serves the tree and, for contract, its edges.
+    cuts = _input_cuts([s.mask_of(ts) for ts in tails], edges)
+    t = _from_cut_masks(s, cuts)
     if args.action == "signature":
         sig = signature(t)
         result = {
@@ -355,7 +356,6 @@ def _cmd_tree(args: argparse.Namespace) -> tuple[str, int]:
         i, j = parse_edge(args.edge)
         if not any(set(e) == {i, j} for e in edges):
             raise InvariantError(f"unknown edge ({i}, {j}) in the input tree")
-        cuts = _input_cuts([s.mask_of(ts) for ts in tails], edges)
         contracted = _from_cut_masks(s, [c for e, c in zip(edges, cuts) if set(e) != {i, j}])
         parameters["edge"] = args.edge
         result = {"tree": _tree_payload(contracted)}

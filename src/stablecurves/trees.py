@@ -74,17 +74,20 @@ class StableTree:
     @cached_property
     def _layout(self) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...], tuple[int, ...]]:
         """Vertex tails, (parent, child) edges and the cut of each edge."""
-        fam = self.cuts
-        # Parent of a cut is its smallest proper superset in the family.
-        kids: dict[int, list[int]] = {x: [] for x in fam}
+        # Parent of a cut is its smallest proper superset in the family.  In
+        # ascending order the cuts still without a parent are pairwise
+        # disjoint, and a later cut that meets one of them contains it, as a
+        # superset has the larger value.  So each cut adopts the parentless
+        # cuts it meets, and those left at the end hang from vertex 0.
+        kids: dict[int, list[int]] = {}
         top: list[int] = []
-        for x in fam:
-            best = None
-            for y in fam:
-                if x != y and x & y == x:
-                    if best is None or y & best == y:
-                        best = y
-            (top if best is None else kids[best]).append(x)
+        for y in self.cuts:
+            adopted: list[int] = []
+            parentless = [y]
+            for x in top:
+                (adopted if x & y else parentless).append(x)
+            kids[y] = adopted
+            top = parentless
         top.sort(key=_low_bit)
         for lst in kids.values():
             lst.sort(key=_low_bit)
@@ -430,17 +433,37 @@ def pi_of_tree(t: StableTree) -> DistinguishedPartition:
     return DistinguishedPartition(t.label_set, tuple(blocks))
 
 
-@lru_cache(maxsize=None)
 def _rooted_binary_families(mask: int) -> tuple[tuple[int, ...], ...]:
     """All internal cut families of rooted trivalent trees with tail set ``mask``.
 
     Each family lists the label sets hanging below the internal edges; the
-    count is the double factorial (2k - 3)!! for k set bits.
+    count is the double factorial (2k - 3)!! for k set bits.  The families
+    are those of :func:`_local_binary_families` for k, with local bit i moved
+    to the i-th set bit of ``mask``.  That move keeps the numeric order of
+    submasks, so the order of the families is the order of the per-mask
+    recursion.
     """
-    if mask.bit_count() == 2:
+    deposit = [0]  # local submask -> the same submask in the bits of ``mask``
+    for bit in bits_of(mask):
+        step = 1 << bit
+        deposit += [d | step for d in deposit]
+    return tuple(
+        tuple(deposit[m] for m in fam) for fam in _local_binary_families(mask.bit_count())
+    )
+
+
+@lru_cache(maxsize=None)
+def _local_binary_families(k: int) -> tuple[tuple[int, ...], ...]:
+    """The families of :func:`_rooted_binary_families` on the tails 0..k-1.
+
+    One memo entry per block size serves every block of k labels.  The
+    root splits the tails into the side holding tail 0 and the other side,
+    which runs over the submasks of tails 1..k-1 in ascending order.
+    """
+    if k == 2:
         return ((),)
-    low = mask & -mask
-    rest = mask ^ low
+    full = (1 << k) - 1
+    rest = full ^ 1
     subs = []
     sub = rest
     while sub:
@@ -448,7 +471,7 @@ def _rooted_binary_families(mask: int) -> tuple[tuple[int, ...], ...]:
         sub = (sub - 1) & rest
     fams: list[tuple[int, ...]] = []
     for b in reversed(subs):
-        a = mask ^ b
+        a = full ^ b
         fa = _rooted_binary_families(a) if a.bit_count() >= 2 else ((),)
         fb = _rooted_binary_families(b) if b.bit_count() >= 2 else ((),)
         for x in fa:

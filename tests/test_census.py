@@ -3,22 +3,34 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import stablecurves
 from stablecurves import (
+    ClassShapeRecord,
+    CensusReport,
     DistinguishedPartition,
+    InternalCheckError,
     InvariantError,
     LabelSet,
+    TypeRecord,
     class_size_oracle,
     classes_by_shape,
     enumerate_curve_trees,
     enumerate_distinguished,
+    minus_k_closed,
     pi_of_tree,
     render_table,
     run_census,
+    unlabeled_type_key,
 )
+from stablecurves import census as census_module
 
 
 def stirling_4(n):
@@ -39,6 +51,47 @@ def multinomial_classes(n, shape):
     for repeats in Counter(shape).values():
         total //= math.factorial(repeats)
     return total
+
+
+def census_by_class_dicts(s):
+    """Census oracle: every class keeps its own breakdown until all trees are read."""
+    type_counts, type_rep, type_minus_k = {}, {}, {}
+    class_breakdown = {}
+    for tree in enumerate_curve_trees(s):
+        pi = pi_of_tree(tree)
+        key = unlabeled_type_key(tree)
+        type_counts[key] = type_counts.get(key, 0) + 1
+        if key not in type_rep:
+            type_rep[key] = tree
+            type_minus_k[key] = minus_k_closed(pi)
+        assert type_minus_k[key] == minus_k_closed(pi)
+        bucket = class_breakdown.setdefault(pi, {})
+        bucket[key] = bucket.get(key, 0) + 1
+
+    names = census_module._n7_type_names() if s.n == 7 else {}
+    types = tuple(
+        TypeRecord(key, names.get(key), type_rep[key], type_counts[key], type_minus_k[key])
+        for key in sorted(type_counts, key=lambda k: (-type_counts[k], k))
+    )
+    shape_classes = {}
+    for pi in class_breakdown:
+        shape_classes.setdefault(pi.shape, []).append(pi)
+    records = []
+    for shape in sorted(shape_classes, reverse=True):
+        members = shape_classes[shape]
+        breakdowns = {tuple(sorted(class_breakdown[pi].items())) for pi in members}
+        degrees = {minus_k_closed(pi) for pi in members}
+        assert len(breakdowns) == 1 and len(degrees) == 1
+        (breakdown,) = breakdowns
+        per_class = sum(count for _, count in breakdown)
+        records.append(ClassShapeRecord(shape, len(members), per_class, breakdown, degrees.pop()))
+    return CensusReport(s.n, types, tuple(records), sum(type_counts.values()), len(class_breakdown))
+
+
+def test_census_matches_the_class_dict_oracle():
+    for n in range(4, 9):
+        s = LabelSet.numbered(n)
+        assert run_census(s) == census_by_class_dicts(s)
 
 
 def test_census_n4_single_class():
@@ -165,7 +218,7 @@ def traced_peak_mib(fn):
 
 def test_census_holds_one_curve_tree_at_a_time():
     s = LabelSet.numbered(8)
-    run_census(s)  # fills the per-block family cache
+    run_census(s)  # fills the per-size family memo
     assert traced_peak_mib(lambda: run_census(s)) < 3
     assert traced_peak_mib(lambda: enumerate_curve_trees(s)) < 1
 
@@ -189,3 +242,80 @@ def test_render_table_mentions_counts():
     text = render_table(run_census(LabelSet.numbered(6)))
     assert "105" in text and "65" in text
     assert "3+1+1+1" in text and "2+2+1+1" in text
+
+
+def census_trees_with(monkeypatch, edit):
+    """Feed the census the curve trees at n = 7 as ``edit`` rearranges them."""
+    trees = list(enumerate_curve_trees(LabelSet.numbered(7)))
+    edit(trees)
+    monkeypatch.setattr(census_module, "enumerate_curve_trees", lambda s, max_n=None: trees)
+
+
+def first_tree_of_a_larger_class(trees):
+    return next(i for i, t in enumerate(trees) if class_size_oracle(pi_of_tree(t)) > 1)
+
+
+def test_census_rejects_a_short_class(monkeypatch):
+    census_trees_with(monkeypatch, lambda trees: trees.pop(first_tree_of_a_larger_class(trees)))
+    with pytest.raises(InternalCheckError, match="closed form"):
+        run_census(LabelSet.numbered(7))
+
+
+def test_census_rejects_a_class_split_into_two_runs(monkeypatch):
+    census_trees_with(
+        monkeypatch, lambda trees: trees.append(trees.pop(first_tree_of_a_larger_class(trees)))
+    )
+    with pytest.raises(InternalCheckError, match="closed form"):
+        run_census(LabelSet.numbered(7))
+
+
+def test_census_rejects_a_shape_with_mixed_breakdowns(monkeypatch):
+    s = LabelSet.numbered(7)
+    odd = next(pi for pi in enumerate_distinguished(s) if pi.shape == (4, 1, 1, 1))
+    real = census_module.unlabeled_type_key
+
+    def key_of(tree):
+        return "odd" if pi_of_tree(tree) == odd else real(tree)
+
+    monkeypatch.setattr(census_module, "unlabeled_type_key", key_of)
+    with pytest.raises(InternalCheckError, match="shape mixes breakdowns"):
+        run_census(s)
+
+
+def run_python(*args):
+    src = str(Path(stablecurves.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env, timeout=120)
+
+
+def test_census_rejects_a_short_class_under_optimize():
+    script = (
+        "from stablecurves import LabelSet, census\n"
+        "trees = list(census.enumerate_curve_trees(LabelSet.numbered(6)))\n"
+        "i = next(i for i, t in enumerate(trees) if census.class_size_oracle(census.pi_of_tree(t)) > 1)\n"
+        "del trees[i]\n"
+        "census.enumerate_curve_trees = lambda s, max_n=None: trees\n"
+        "census.run_census(LabelSet.numbered(6))\n"
+    )
+    done = run_python("-O", "-c", script)
+    assert done.returncode == 1
+    assert b"InternalCheckError: class tree count disagrees with its closed form" in done.stderr
+
+
+def test_census_heap_in_a_fresh_interpreter():
+    # The census holds the class list, one class bucket, the shape records
+    # and one family memo entry per block size: about 0.7 MiB, where a
+    # breakdown dict per class and a family memo entry per block mask
+    # peaked at 1.7 MiB.
+    script = (
+        "import tracemalloc\n"
+        "from stablecurves import LabelSet, run_census\n"
+        "s = LabelSet.numbered(8)\n"
+        "tracemalloc.start()\n"
+        "run_census(s)\n"
+        "print(tracemalloc.get_traced_memory()[1])\n"
+    )
+    done = run_python("-c", script)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) / 2**20 < 1

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Sequence
+from functools import lru_cache
 from itertools import combinations, product
 
 import pytest
@@ -32,6 +33,7 @@ from stablecurves import (
     make_tree,
     n_set,
     pi_of_tree,
+    run_census,
     signature,
     tree_from_signature,
     tree_violations,
@@ -476,12 +478,58 @@ def test_curve_tree_counts_frozen():
     assert len(enumerate_curve_trees(LabelSet.numbered(7))) == 1260
 
 
+@lru_cache(maxsize=None)
+def families_by_mask(mask):
+    """Rooted trivalent cut families on the tails of ``mask``, one memo entry per mask.
+
+    The root splits ``mask`` into the side holding its lowest bit and the
+    rest, taken as submasks in ascending order; each family lists the
+    two sides (those of at least two tails) and their own families.
+    """
+    if mask.bit_count() == 2:
+        return ((),)
+    low = mask & -mask
+    rest = mask ^ low
+    subs = []
+    sub = rest
+    while sub:
+        subs.append(sub)
+        sub = (sub - 1) & rest
+    fams = []
+    for b in reversed(subs):
+        a = mask ^ b
+        fa = families_by_mask(a) if a.bit_count() >= 2 else ((),)
+        fb = families_by_mask(b) if b.bit_count() >= 2 else ((),)
+        for x in fa:
+            xa = ((a,) + x) if a.bit_count() >= 2 else ()
+            for y in fb:
+                yb = ((b,) + y) if b.bit_count() >= 2 else ()
+                fams.append(xa + yb)
+    return tuple(fams)
+
+
+def test_rooted_binary_families_match_the_per_mask_recursion():
+    # Every block of 2 to 7 labels over 9 labels: all a census meets up to
+    # n = 10.  Blocks of 8 and 9 labels hold 135,135 and 2,027,025 families,
+    # too many to keep twice in a unit test.
+    for mask in range(1 << 9):
+        if 2 <= mask.bit_count() <= 7:
+            assert trees_module._rooted_binary_families(mask) == families_by_mask(mask)
+
+
+def test_family_memo_holds_one_entry_per_block_size():
+    memo = trees_module._local_binary_families
+    memo.cache_clear()
+    run_census(LabelSet.numbered(8))
+    assert memo.cache_info().currsize <= 8 - 3
+
+
 def eager_curve_trees(s):
     """Every curve tree as one list: per class, the product of block families."""
     out = []
     for pi in enumerate_distinguished(s):
         options = [
-            [(block,) + fam for fam in trees_module._rooted_binary_families(block)]
+            [(block,) + fam for fam in families_by_mask(block)]
             for block in pi.block_masks
             if block.bit_count() >= 2
         ]
