@@ -14,10 +14,10 @@ which every later class of that shape must match.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import groupby
 
 from .partitions import (
     DistinguishedPartition,
-    InvariantError,
     LabelSet,
     _check_internal,
     _require_bound,
@@ -107,25 +107,21 @@ def run_census(s: LabelSet, max_n: int | None = None) -> CensusReport:
     type_rep: dict[str, StableTree] = {}
     type_minus_k: dict[str, int] = {}
     shape_records: dict[tuple[int, ...], ClassShapeRecord] = {}
-    current: DistinguishedPartition | None = None
-    bucket: dict[str, int] = {}
 
-    for tree in enumerate_curve_trees(s, max_n=max_n):
-        pi = pi_of_tree(tree)
-        key = unlabeled_type_key(tree)
-        type_counts[key] = type_counts.get(key, 0) + 1
-        if key not in type_rep:
-            type_rep[key] = tree
-            type_minus_k[key] = minus_k_closed(pi)
-        else:
-            _check_internal(type_minus_k[key] == minus_k_closed(pi), "type mixes degrees")
-        if pi != current:
-            if current is not None:
-                _fold_class(shape_records, current, bucket)
-            current, bucket = pi, {}
-        bucket[key] = bucket.get(key, 0) + 1
-    if current is not None:
-        _fold_class(shape_records, current, bucket)
+    # A tree's degree is its class's, so it is computed once per class and
+    # each type's degree is checked once per class it occurs in.
+    for pi, trees in groupby(enumerate_curve_trees(s, max_n=max_n), key=pi_of_tree):
+        degree = minus_k_closed(pi)
+        bucket: dict[str, int] = {}
+        for tree in trees:
+            key = unlabeled_type_key(tree)
+            type_counts[key] = type_counts.get(key, 0) + 1
+            if key not in bucket:
+                type_rep.setdefault(key, tree)
+                first_degree = type_minus_k.setdefault(key, degree)
+                _check_internal(first_degree == degree, "type mixes degrees")
+            bucket[key] = bucket.get(key, 0) + 1
+        _fold_class(shape_records, pi, bucket, degree)
 
     names = _n7_type_names() if s.n == 7 else {}
     types = tuple(
@@ -158,6 +154,7 @@ def _fold_class(
     shape_records: dict[tuple[int, ...], ClassShapeRecord],
     pi: DistinguishedPartition,
     bucket: dict[str, int],
+    degree: int,
 ) -> None:
     """Fold one finished class, its trees counted by type, into its shape's record.
 
@@ -167,7 +164,6 @@ def _fold_class(
     curves = sum(bucket.values())
     _check_internal(curves == _class_size(pi), "class tree count disagrees with its closed form")
     breakdown = tuple(sorted(bucket.items()))
-    degree = minus_k_closed(pi)
     record = shape_records.get(pi.shape)
     if record is None:
         shape_records[pi.shape] = ClassShapeRecord(pi.shape, 1, curves, breakdown, degree)

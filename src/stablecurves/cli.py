@@ -427,14 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write(text: str, output: str | None) -> None:
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -458,7 +450,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     except AssertionError as exc:
         print(f"stablecurves: internal assertion failed: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    _write(text, args.output)
+    if args.output is None:
+        sys.stdout.write(text)
+        return code
+    try:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"stablecurves: cannot write {args.output}: {exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
     return code
 
 

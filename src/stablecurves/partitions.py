@@ -340,9 +340,14 @@ def compatible(sigma: TwoPartition, rho: TwoPartition) -> bool:
     """
     if sigma.label_set != rho.label_set:
         raise InvariantError("mismatched label sets")
-    a1, b1 = sigma.part_a_mask, sigma.part_b_mask
-    a2, b2 = rho.part_a_mask, rho.part_b_mask
-    return not (a1 & a2) or not (a1 & b2) or not (b1 & a2) or not (b1 & b2)
+    return _masks_compatible(sigma.part_b_mask, rho.part_b_mask)
+
+
+def _masks_compatible(x: int, y: int) -> bool:
+    # Part-b masks avoid bit 0, so the part-a sides always meet and
+    # non-crossing reduces to nested or disjoint.
+    z = x & y
+    return z == 0 or z == x or z == y
 
 
 def enumerate_distinguished(s: LabelSet, max_n: int | None = None) -> list[DistinguishedPartition]:

@@ -12,7 +12,7 @@ breadth-first order, each edge stored as (parent, child).
 from __future__ import annotations
 
 import math
-from collections import abc, deque
+from collections import abc
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, islice, product
@@ -25,6 +25,7 @@ from .partitions import (
     TwoPartition,
     _check_internal,
     _low_bit,
+    _masks_compatible,
     _require_bound,
     _require_labels,
     bits_of,
@@ -88,28 +89,24 @@ class StableTree:
                 (adopted if x & y else parentless).append(x)
             kids[y] = adopted
             top = parentless
-        top.sort(key=_low_bit)
+        kids[self.label_set.full_mask] = top  # vertex 0's side holds every label
         for lst in kids.values():
             lst.sort(key=_low_bit)
 
-        covered = 0
-        for m in top:
-            covered |= m
-        vertex_tails = [self.label_set.full_mask & ~covered]
+        # Breadth-first from vertex 0: the list of sides grows while it is
+        # read, vertex v is the one with side order[v], and order[k + 1] is
+        # the cut of edge k.
+        order = [self.label_set.full_mask]
+        vertex_tails: list[int] = []
         edges: list[tuple[int, int]] = []
-        edge_cuts: list[int] = []
-        queue = deque((m, 0) for m in top)
-        while queue:
-            m, pidx = queue.popleft()
-            idx = len(vertex_tails)
+        for v, m in enumerate(order):
             inner = 0
             for c in kids[m]:
                 inner |= c
+                edges.append((v, len(order)))
+                order.append(c)
             vertex_tails.append(m & ~inner)
-            edges.append((pidx, idx))
-            edge_cuts.append(m)
-            queue.extend((c, idx) for c in kids[m])
-        return tuple(vertex_tails), tuple(edges), tuple(edge_cuts)
+        return tuple(vertex_tails), tuple(edges), tuple(order[1:])
 
     @property
     def vertex_tails(self) -> tuple[int, ...]:
@@ -157,12 +154,6 @@ class PartitionSetSignature:
                 )
         parts.sort(key=partition_sort_key)
         return cls(label_set, tuple(parts))
-
-
-def _masks_compatible(x: int, y: int) -> bool:
-    # Both masks avoid bit 0, so non-crossing reduces to nested or disjoint.
-    z = x & y
-    return z == 0 or z == x or z == y
 
 
 def _from_cut_masks(s: LabelSet, masks: Iterable[int]) -> StableTree:
@@ -215,25 +206,13 @@ def tree_violations(
         seen_edges.add(key)
 
     if structural_ok:
+        adj = _neighbors(nv, edges)
         if len(edges) != nv - 1:
             problems.append(
                 f"not a tree: {nv} vertices need {nv - 1} edges, got {len(edges)}"
             )
-        else:
-            adj: list[list[int]] = [[] for _ in range(nv)]
-            for i, j in (tuple(e) for e in edges):
-                adj[i].append(j)
-                adj[j].append(i)
-            reached = {0}
-            stack = [0]
-            while stack:
-                v = stack.pop()
-                for w in adj[v]:
-                    if w not in reached:
-                        reached.add(w)
-                        stack.append(w)
-            if len(reached) != nv:
-                problems.append("not a tree: graph is disconnected")
+        elif len(_walk(adj)[0]) != nv:
+            problems.append("not a tree: graph is disconnected")
 
     seen_labels: dict = {}
     tail_counts = [0] * nv
@@ -251,12 +230,8 @@ def tree_violations(
             problems.append(f"label coverage: missing label {token!r}")
 
     if structural_ok:
-        degree = [0] * nv
-        for i, j in (tuple(e) for e in edges):
-            degree[i] += 1
-            degree[j] += 1
         for v in range(nv):
-            flags = degree[v] + tail_counts[v]
+            flags = len(adj[v]) + tail_counts[v]
             if flags < 3:
                 problems.append(f"unstable vertex {v}: only {flags} flags")
     return problems
@@ -279,36 +254,42 @@ def make_tree(
 
 
 def _input_cuts(tail_masks: Sequence[int], edges: Sequence[tuple[int, int]]) -> list[int]:
-    """Cut of each edge ``(i, j)`` of a valid raw tree, in the caller's numbering.
+    """Cut of each edge of a valid raw tree, in the caller's edge order.
 
-    Each cut is given as the union of the tails on the side of ``j``.
+    Each cut is given as the union of the tails on the side of its edge
+    away from vertex 0, whichever way round the caller wrote the edge.
     """
-    adj: list[list[int]] = [[] for _ in tail_masks]
-    for i, j in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    cuts = []
-    for i, j in edges:
-        mask = 0
-        stack = [j]
-        seen = {i, j}
-        while stack:
-            v = stack.pop()
-            mask |= tail_masks[v]
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        cuts.append(mask)
-    return cuts
+    order, parent = _walk(_neighbors(len(tail_masks), edges))
+    below = list(tail_masks)  # tails of each vertex's subtree below vertex 0
+    for v in reversed(order[1:]):
+        below[parent[v]] |= below[v]
+    return [below[j] if parent[j] == i else below[i] for i, j in edges]
 
 
-def _adjacency(t: StableTree) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(t.n_vertices)]
-    for i, j in t.edges:
+def _neighbors(nv: int, edges: Iterable[Sequence[int]]) -> list[list[int]]:
+    """Adjacency lists of the graph with vertices 0..nv-1 and ``edges``."""
+    adj: list[list[int]] = [[] for _ in range(nv)]
+    for i, j in edges:
         adj[i].append(j)
         adj[j].append(i)
     return adj
+
+
+def _walk(adj: Sequence[Sequence[int]]) -> tuple[list[int], list[int | None]]:
+    """Vertices reached from vertex 0, each after its parent, and each one's parent.
+
+    The parent of vertex 0 is -1, that of an unreached vertex None.  Every
+    vertex is entered once, so the walk ends on input with cycles too.
+    """
+    parent: list[int | None] = [None] * len(adj)
+    parent[0] = -1
+    order = [0]
+    for v in order:
+        for w in adj[v]:
+            if parent[w] is None:
+                parent[w] = v
+                order.append(w)
+    return order, parent
 
 
 def edge_cut(t: StableTree, e: Sequence[int]) -> TwoPartition:
@@ -580,33 +561,17 @@ def enumerate_trees(s: LabelSet, codim: int, max_n: int | None = None) -> list[S
     return out
 
 
-def _centroids(t: StableTree, adj: Sequence[Sequence[int]]) -> list[int]:
+def _centroids(t: StableTree) -> list[int]:
+    """Vertices whose removal leaves the smallest largest component."""
     nv = t.n_vertices
-    if nv == 1:
-        return [0]
-    order = []
-    parent = [-1] * nv
-    stack = [0]
-    seen = {0}
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                parent[w] = v
-                stack.append(w)
+    # Canonical edge k is (parent, k + 1) and every vertex follows its
+    # parent, so the reversed edges reach each subtree before its top.
     size = [1] * nv
-    for v in reversed(order):
-        if parent[v] >= 0:
-            size[parent[v]] += size[v]
-    worst = [0] * nv
-    for v in range(nv):
-        heaviest = nv - size[v]
-        for w in adj[v]:
-            if w != parent[v]:
-                heaviest = max(heaviest, size[w])
-        worst[v] = heaviest
+    for parent, child in reversed(t.edges):
+        size[parent] += size[child]
+    worst = [nv - m for m in size]  # the component on the side of vertex 0
+    for parent, child in t.edges:
+        worst[parent] = max(worst[parent], size[child])
     best = min(worst)
     return [v for v in range(nv) if worst[v] == best]
 
@@ -618,11 +583,11 @@ def unlabeled_type_key(t: StableTree) -> str:
     4-flag vertex; all other trees at the centroid, taking the smaller of
     the two encodings at a bicentroid.
     """
-    adj = _adjacency(t)
+    adj = _neighbors(t.n_vertices, t.edges)
     if t.codimension == t.label_set.n - 4:
         roots = [exceptional_vertex(t)]
     else:
-        roots = _centroids(t, adj)
+        roots = _centroids(t)
     return min(_shape_code(t.vertex_tails, adj, r, -1) for r in roots)
 
 

@@ -73,6 +73,18 @@ def test_output_file(tmp_path, capsys):
     assert payload["result"]["totals"] == {"classes": 10, "curves": 10}
 
 
+@pytest.mark.parametrize("where", ["missing_dir", "directory"])
+def test_unwritable_output_is_usage_error(tmp_path, capsys, where):
+    target = tmp_path / "missing" / "x.json" if where == "missing_dir" else tmp_path
+    code, out, err = run(
+        capsys, "pair", "--sigma", "12|3456", "--pi", "1|2|3|456", "--output", str(target)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"stablecurves: cannot write {target}: ")
+    assert "Traceback" not in err
+
+
 # --------------------------------------------------------------- census
 
 

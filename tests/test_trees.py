@@ -275,6 +275,12 @@ def test_signature_matches_reachability_oracle():
         ([[1, 2, 3], [4], [5], [6, 7]], [(0, 1), (1, 2), (2, 3)]),
         ([[1, 2], [3], [4, 5], [6, 7]], [(0, 1), (1, 2), (1, 3)]),
         ([[1, 2, 3, 4], [5, 6, 7]], [(0, 1)]),
+        # Vertex 0 without label 1, and edges written both ways round.
+        ([[4], [1, 2, 3], [5], [6, 7]], [(1, 0), (0, 2), (3, 2)]),
+        ([[4, 5], [1, 2], [3], [6, 7]], [(1, 2), (2, 0), (3, 2)]),
+        ([[], [6, 7], [1, 2], [3, 4, 5]], [(1, 0), (0, 2), (3, 0)]),
+        ([[6, 7], [5], [4], [1, 2, 3]], [(1, 0), (1, 2), (3, 2)]),
+        ([[5, 6, 7], [1, 2, 3, 4]], [(1, 0)]),
     ]
     for tails, edges in descriptions:
         t = make_tree(tails, edges, s)
@@ -692,6 +698,35 @@ def test_type_key_distinguishes_the_two_n6_types():
     chain = make_tree([[1, 2, 3], [4], [5, 6]], [(0, 1), (1, 2)], s)
     balanced = make_tree([[1, 2], [3, 4], [5, 6]], [(0, 1), (1, 2)], s)
     assert unlabeled_type_key(chain) != unlabeled_type_key(balanced)
+
+
+def test_type_keys_match_networkx_isomorphism():
+    """Equal keys exactly when the trees, weighted by tail counts, are isomorphic."""
+    nx = pytest.importorskip("networkx")
+    by_key: dict[str, list] = {}
+    for n in range(4, 8):
+        s = LabelSet.numbered(n)
+        for codim in range(n - 2):
+            for t in enumerate_trees(s, codim):
+                by_key.setdefault(unlabeled_type_key(t), []).append(t)
+    assert sum(len(ts) for ts in by_key.values()) == 3018
+    assert len(by_key) == 25
+
+    def weighted(t):
+        g = nx.Graph()
+        g.add_nodes_from((v, {"tails": len(t.tails_at(v))}) for v in range(t.n_vertices))
+        g.add_edges_from(t.edges)
+        return g
+
+    same_tails = nx.algorithms.isomorphism.categorical_node_match("tails", None)
+    reps = []
+    for ts in by_key.values():
+        rep = weighted(ts[0])
+        for t in ts[1:]:
+            assert nx.is_isomorphic(rep, weighted(t), node_match=same_tails)
+        reps.append(rep)
+    for g, h in combinations(reps, 2):
+        assert not nx.is_isomorphic(g, h, node_match=same_tails)
 
 
 def test_type_key_uses_centroid_for_non_curve_trees():
