@@ -20,6 +20,7 @@ from .partitions import (
     DistinguishedPartition,
     LabelSet,
     _check_internal,
+    _format_shape,
     _require_bound,
     _require_labels,
     enumerate_distinguished,
@@ -213,8 +214,8 @@ def render_table(report: CensusReport) -> str:
         f"  {'shape':<12} {'classes':>8} {'curves/class':>13} {'minus_k':>8}"
     )
     for c in report.classes:
-        shape = "+".join(str(b) for b in c.shape)
         lines.append(
-            f"  {shape:<12} {c.class_count:>8} {c.curves_per_class:>13} {c.minus_k:>8}"
+            f"  {_format_shape(c.shape):<12} {c.class_count:>8}"
+            f" {c.curves_per_class:>13} {c.minus_k:>8}"
         )
     return "\n".join(lines) + "\n"

@@ -32,6 +32,7 @@ from .partitions import (
     LabelSet,
     TwoPartition,
     _check_internal,
+    _format_shape,
 )
 from .trees import (
     StableTree,
@@ -232,10 +233,9 @@ def _census_tsv(report) -> str:
         ident = t.name or t.type_key
         lines.append(f"type\t{ident}\t{t.curve_count}\t\t\t{t.minus_k}")
     for c in report.classes:
-        shape = "+".join(str(b) for b in c.shape)
         lines.append(
-            f"class\t{shape}\t{c.class_count * c.curves_per_class}\t{c.class_count}"
-            f"\t{c.curves_per_class}\t{c.minus_k}"
+            f"class\t{_format_shape(c.shape)}\t{c.class_count * c.curves_per_class}"
+            f"\t{c.class_count}\t{c.curves_per_class}\t{c.minus_k}"
         )
     lines.append(f"total\t\t{report.total_curves}\t{report.total_classes}\t\t")
     return "\n".join(lines) + "\n"
@@ -278,12 +278,7 @@ def _cmd_pair(args: argparse.Namespace) -> str:
     if sigma.label_set != pi.label_set:
         raise InvariantError("sigma and pi must use the same labels")
     value = pair_divisor_curve(sigma, pi)
-    if value == 1:
-        kind = "P-member"
-    elif value == -1:
-        kind = "N-member"
-    else:
-        kind = "neither"
+    kind = {1: "P-member", -1: "N-member", 0: "neither"}[value]
     parameters = {"sigma": args.sigma, "pi": args.pi}
     result = {"pairing": value, "classification": kind}
     return _dump(_envelope("pair", parameters, result))

@@ -17,6 +17,7 @@ from .partitions import (
     InvariantError,
     LabelSet,
     TwoPartition,
+    _format_shape,
     _require_bound,
     _require_labels,
     c_weight,
@@ -44,18 +45,14 @@ __all__ = [
 def pair_divisor_curve(sigma: TwoPartition, pi: DistinguishedPartition) -> int:
     """Pairing of the divisor of ``sigma`` with the curve class of ``pi``.
 
-    Returns +1 when each part of sigma is a union of two blocks of pi, -1
-    when one part of sigma is a single block, and 0 otherwise.
+    Returns +1 on the P-set of pi, -1 on its N-set, and 0 otherwise.
     """
     if sigma.label_set != pi.label_set:
         raise InvariantError("mismatched label sets")
     _require_labels(sigma.label_set, 5)
-    b0, b1, b2, b3 = pi.block_masks
-    a = sigma.part_a_mask
-    if a in (b0 | b1, b0 | b2, b0 | b3):
+    if sigma in p_set(pi):
         return 1
-    b = sigma.part_b_mask
-    if a in pi.block_masks or b in pi.block_masks:
+    if sigma in n_set(pi):
         return -1
     return 0
 
@@ -95,10 +92,7 @@ def minus_k_expanded(pi_or_tree: DistinguishedPartition | StableTree) -> Fractio
     is accepted and reduced to its 4-block partition first.  The result is
     always an integer-valued rational and must match the closed form.
     """
-    if isinstance(pi_or_tree, StableTree):
-        pi = pi_of_tree(pi_or_tree)
-    else:
-        pi = pi_or_tree
+    pi = pi_of_tree(pi_or_tree) if isinstance(pi_or_tree, StableTree) else pi_or_tree
     _require_labels(pi.label_set, 5)
     plus = sum(map(_minus_k_coefficient, p_set(pi)), Fraction(0))
     return plus - sum(map(_minus_k_coefficient, n_set(pi)), Fraction(0))
@@ -107,14 +101,11 @@ def minus_k_expanded(pi_or_tree: DistinguishedPartition | StableTree) -> Fractio
 def k_plus_b_pairing(pi: DistinguishedPartition) -> int:
     """Pairing of the curve class with the canonical class plus the full boundary.
 
-    Computed as minus the anticanonical degree plus the sum of pairings
-    against every boundary divisor.
+    Read off the P- and N-sets, the only divisors meeting the curve, so no
+    divisor is enumerated and no enumeration bound applies.
     """
     _require_labels(pi.label_set, 5)
-    total = -minus_k_closed(pi)
-    for sigma in enumerate_stable_two_partitions(pi.label_set):
-        total += pair_divisor_curve(sigma, pi)
-    return total
+    return len(p_set(pi)) - len(n_set(pi)) - minus_k_closed(pi)
 
 
 def picard_rank(n: int) -> int:
@@ -139,7 +130,7 @@ class IntersectionMatrix:
 
     def to_tsv(self) -> str:
         """Tab-separated table with a header row of column block shapes."""
-        header = ["sigma"] + ["+".join(str(b) for b in c.shape) for c in self.cols]
+        header = ["sigma"] + [_format_shape(c.shape) for c in self.cols]
         lines = ["\t".join(header)]
         for sigma, row in zip(self.rows, self.entries):
             lines.append("\t".join([sigma.literal()] + [str(x) for x in row]))
@@ -150,20 +141,29 @@ class IntersectionMatrix:
         return {
             "row_keys": [sigma.literal() for sigma in self.rows],
             "col_keys": [pi.literal() for pi in self.cols],
-            "col_shapes": ["+".join(str(b) for b in c.shape) for c in self.cols],
+            "col_shapes": [_format_shape(c.shape) for c in self.cols],
             "entries": [list(row) for row in self.entries],
         }
 
 
 def intersection_matrix(s: LabelSet, max_n: int | None = None) -> IntersectionMatrix:
-    """Pairing table of all boundary divisors against all curve classes."""
+    """Pairing table of all boundary divisors against all curve classes.
+
+    Only each column's P-members (+1) and N-members (-1) are written.
+    """
     _require_labels(s, 5)
     _require_bound(s, max_n)
     rows = tuple(enumerate_stable_two_partitions(s, max_n=max_n))
     cols = tuple(enumerate_distinguished(s, max_n=max_n))
-    entries = tuple(
-        tuple(pair_divisor_curve(sigma, pi) for pi in cols) for sigma in rows
-    )
+    width = len(cols)
+    start = {sigma.part_b_mask: r * width for r, sigma in enumerate(rows)}
+    cells = memoryview(bytearray(len(rows) * width)).cast("b")
+    for c, pi in enumerate(cols):
+        for sigma in p_set(pi):
+            cells[start[sigma.part_b_mask] + c] = 1
+        for sigma in n_set(pi):
+            cells[start[sigma.part_b_mask] + c] = -1
+    entries = tuple(tuple(cells[i : i + width]) for i in range(0, len(cells), width))
     return IntersectionMatrix(s, rows, cols, entries)
 
 
@@ -174,11 +174,7 @@ def matrix_rank(m: IntersectionMatrix | Sequence[Sequence[int]]) -> int:
     columns in order and taking the first nonzero pivot, so the result is
     deterministic and free of rounding.
     """
-    if isinstance(m, IntersectionMatrix):
-        rows: Sequence[Sequence[int]] = m.entries
-    else:
-        rows = m
-    work = [list(r) for r in rows]
+    work = [list(r) for r in (m.entries if isinstance(m, IntersectionMatrix) else m)]
     if not work:
         return 0
     ncols = len(work[0])

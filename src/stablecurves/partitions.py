@@ -143,6 +143,11 @@ def format_blocks(label_set: LabelSet, masks: Iterable[int]) -> str:
     )
 
 
+def _format_shape(shape: Iterable[int]) -> str:
+    """Render block sizes as ``"3+1+1+1"``."""
+    return "+".join(map(str, shape))
+
+
 @dataclass(frozen=True)
 class TwoPartition:
     """A stable unordered 2-partition of a label set.

@@ -1,13 +1,15 @@
 """Intersection pairings, anticanonical degrees, and the exact matrix rank.
 
-Two independent oracles live here: a rank computed by dense rational
-elimination (checking the fraction-free integer route), and a pairing read
-directly off curve trees (checking the partition route).
+Three independent oracles live here: a rank computed by dense rational
+elimination (checking the fraction-free integer route), a pairing read
+directly off curve trees (checking the partition route), and the paper's
+pairing rule applied to label sets (checking the P-set and N-set route).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -29,7 +31,6 @@ from stablecurves import (
     minus_k_divisor_coefficients,
     minus_k_expanded,
     n_set,
-    p_set,
     pair_divisor_curve,
     pi_of_tree,
     picard_rank,
@@ -63,6 +64,27 @@ def rank_by_rational_elimination(rows):
         if rank == nrows:
             break
     return rank
+
+
+def pairings_by_label_sets(sigmas, pi):
+    """The pairing of each sigma with pi, from the paper's rule on label sets.
+
+    +1 when each part of sigma is a union of two blocks of pi, -1 when one
+    part of sigma is a single block, and 0 otherwise.  No masks, P-sets or
+    N-sets are consulted.
+    """
+    blocks = {frozenset(b) for b in pi.blocks}
+    unions = {x | y for x, y in combinations(blocks, 2)}
+    out = []
+    for sigma in sigmas:
+        parts = (frozenset(sigma.part_a), frozenset(sigma.part_b))
+        if all(part in unions for part in parts):
+            out.append(1)
+        elif any(part in blocks for part in parts):
+            out.append(-1)
+        else:
+            out.append(0)
+    return out
 
 
 def pair_via_curve_tree(sigma, tree):
@@ -113,20 +135,12 @@ def test_pair_union_of_two_singleton_blocks_is_positive():
 
 
 def test_pair_classification_matches_sets_exhaustively():
-    for n in (5, 6):
+    for n in (5, 6, 7):
         s = LabelSet.numbered(n)
         sigmas = enumerate_stable_two_partitions(s)
         for pi in enumerate_distinguished(s):
-            ps = set(p_set(pi))
-            ns = set(n_set(pi))
-            for sigma in sigmas:
-                got = pair_divisor_curve(sigma, pi)
-                if sigma in ps:
-                    assert got == 1
-                elif sigma in ns:
-                    assert got == -1
-                else:
-                    assert got == 0
+            got = [pair_divisor_curve(sigma, pi) for sigma in sigmas]
+            assert got == pairings_by_label_sets(sigmas, pi)
 
 
 def test_pair_rejects_small_n_and_mixed_labels():
@@ -214,9 +228,30 @@ def test_minus_k_expanded_rejects_n4():
 
 
 def test_k_plus_b_is_one_exhaustive():
-    for n in (5, 6):
-        for pi in enumerate_distinguished(LabelSet.numbered(n)):
+    # The oracle walks every divisor, as the closed form no longer does.
+    for n in (5, 6, 7, 8):
+        s = LabelSet.numbered(n)
+        sigmas = enumerate_stable_two_partitions(s)
+        for pi in enumerate_distinguished(s):
+            walked = sum(pairings_by_label_sets(sigmas, pi)) - minus_k_closed(pi)
+            assert k_plus_b_pairing(pi) == walked == 1
+
+
+def test_pairing_and_k_plus_b_have_no_enumeration_bound():
+    # Neither reads an enumeration, so label sets above DEFAULT_MAX_N work.
+    for n in (17, 24):
+        s = LabelSet.numbered(n)
+        q = n // 4
+        sigmas = [
+            TwoPartition.of(s, part)
+            for part in ([1, 2], [1, n], range(4, n + 1), range(1, q + 1), range(1, 2 * q + 1))
+        ]
+        for starts in ((1, 2, 3, 4), (1, n - 2, n - 1, n), (1, q + 1, 2 * q + 1, 3 * q + 1)):
+            ends = starts[1:] + (n + 1,)
+            pi = DistinguishedPartition.of(s, [range(a, b) for a, b in zip(starts, ends)])
             assert k_plus_b_pairing(pi) == 1
+            got = [pair_divisor_curve(sigma, pi) for sigma in sigmas]
+            assert got == pairings_by_label_sets(sigmas, pi)
 
 
 # ----------------------------------------------------------------- rank
@@ -232,15 +267,18 @@ def test_picard_rank_values():
 
 
 def test_matrix_shapes_and_entries():
-    s = LabelSet.numbered(5)
-    m = intersection_matrix(s)
-    assert len(m.rows) == 10 and len(m.cols) == 10
-    for row in m.entries:
-        assert all(x in (-1, 0, 1) for x in row)
-    for c, pi in enumerate(m.cols):
-        column = [m.entries[r][c] for r in range(len(m.rows))]
-        assert column.count(1) == 3
-        assert column.count(-1) == len(n_set(pi))
+    for n, classes in ((5, 10), (6, 65), (7, 350)):
+        s = LabelSet.numbered(n)
+        m = intersection_matrix(s)
+        assert m.rows == tuple(enumerate_stable_two_partitions(s))
+        assert m.cols == tuple(enumerate_distinguished(s))
+        assert len(m.rows) == 2 ** (n - 1) - n - 1 and len(m.cols) == classes
+        assert all(type(row) is tuple and len(row) == classes for row in m.entries)
+        for c, pi in enumerate(m.cols):
+            column = [row[c] for row in m.entries]
+            assert column == pairings_by_label_sets(m.rows, pi)
+            assert column.count(1) == 3
+            assert column.count(-1) == len(n_set(pi))
 
 
 def test_matrix_rank_matches_rational_oracle_and_frozen_values():
