@@ -10,16 +10,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import cached_property
+from itertools import permutations
+from typing import Iterator, Sequence
 
 from .partitions import (
     DistinguishedPartition,
     InvariantError,
     LabelSet,
     TwoPartition,
+    _check_internal,
     _format_shape,
+    _n_masks,
+    _p_masks,
     _require_bound,
     _require_labels,
+    bits_of,
     c_weight,
     enumerate_distinguished,
     enumerate_stable_two_partitions,
@@ -50,9 +56,9 @@ def pair_divisor_curve(sigma: TwoPartition, pi: DistinguishedPartition) -> int:
     if sigma.label_set != pi.label_set:
         raise InvariantError("mismatched label sets")
     _require_labels(sigma.label_set, 5)
-    if sigma in p_set(pi):
+    if sigma.part_b_mask in _p_masks(pi):
         return 1
-    if sigma in n_set(pi):
+    if sigma.part_b_mask in _n_masks(pi):
         return -1
     return 0
 
@@ -62,7 +68,7 @@ def minus_k_closed(pi: DistinguishedPartition) -> int:
 
     Equals 2 minus the number of blocks with at least two labels.
     """
-    return 2 - len(n_set(pi))
+    return 2 - len(_n_masks(pi))
 
 
 def _minus_k_coefficient(sigma: TwoPartition) -> Fraction:
@@ -105,7 +111,7 @@ def k_plus_b_pairing(pi: DistinguishedPartition) -> int:
     divisor is enumerated and no enumeration bound applies.
     """
     _require_labels(pi.label_set, 5)
-    return len(p_set(pi)) - len(n_set(pi)) - minus_k_closed(pi)
+    return len(_p_masks(pi)) - len(_n_masks(pi)) - minus_k_closed(pi)
 
 
 def picard_rank(n: int) -> int:
@@ -117,16 +123,29 @@ def picard_rank(n: int) -> int:
 
 @dataclass(frozen=True)
 class IntersectionMatrix:
-    """The full divisor-by-curve-class pairing table over one label set.
+    """The divisor-by-curve-class pairing table over one label set.
 
     Rows follow the canonical 2-partition order, columns the canonical
-    4-block partition order.
+    4-block partition order.  Only the rows and columns are stored: the
+    dense ``entries`` table is built on first use and then kept, and
+    :func:`matrix_rank` never needs it.
     """
 
     label_set: LabelSet
     rows: tuple[TwoPartition, ...]
     cols: tuple[DistinguishedPartition, ...]
-    entries: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        """Every cell, row by row: +1 on P-members, -1 on N-members, else 0."""
+        width = len(self.cols)
+        cells = memoryview(bytearray(len(self.rows) * width)).cast("b")
+        for c, (plus, minus) in enumerate(_columns(self)):
+            for r in bits_of(plus):
+                cells[r * width + c] = 1
+            for r in bits_of(minus):
+                cells[r * width + c] = -1
+        return tuple(tuple(cells[i : i + width]) for i in range(0, len(cells), width))
 
     def to_tsv(self) -> str:
         """Tab-separated table with a header row of column block shapes."""
@@ -149,32 +168,113 @@ class IntersectionMatrix:
 def intersection_matrix(s: LabelSet, max_n: int | None = None) -> IntersectionMatrix:
     """Pairing table of all boundary divisors against all curve classes.
 
-    Only each column's P-members (+1) and N-members (-1) are written.
+    Enumerates the rows and columns once; no cell is computed here.  Each
+    column holds +1 on its P-members and -1 on its N-members, read off its
+    blocks when ``entries`` or :func:`matrix_rank` asks for it.
     """
     _require_labels(s, 5)
     _require_bound(s, max_n)
     rows = tuple(enumerate_stable_two_partitions(s, max_n=max_n))
     cols = tuple(enumerate_distinguished(s, max_n=max_n))
-    width = len(cols)
-    start = {sigma.part_b_mask: r * width for r, sigma in enumerate(rows)}
-    cells = memoryview(bytearray(len(rows) * width)).cast("b")
-    for c, pi in enumerate(cols):
-        for sigma in p_set(pi):
-            cells[start[sigma.part_b_mask] + c] = 1
-        for sigma in n_set(pi):
-            cells[start[sigma.part_b_mask] + c] = -1
-    entries = tuple(tuple(cells[i : i + width]) for i in range(0, len(cells), width))
-    return IntersectionMatrix(s, rows, cols, entries)
+    return IntersectionMatrix(s, rows, cols)
+
+
+def _columns(m: IntersectionMatrix) -> Iterator[tuple[int, int]]:
+    """Each column as its P-rows and N-rows, int bitsets over row indices."""
+    bit = {sigma.part_b_mask: 1 << r for r, sigma in enumerate(m.rows)}
+    for pi in m.cols:
+        plus = minus = 0
+        for b in _p_masks(pi):
+            plus |= bit[b]
+        for b in _n_masks(pi):
+            minus |= bit[b]
+        yield plus, minus
+
+
+def _keel_relations(m: IntersectionMatrix) -> list[tuple[int, int]]:
+    """Keel's relations R(1, 2, k, l) as (+rows, -rows) bitsets.
+
+    With 1, 2 the two smallest labels and k != l any two others, the
+    divisors separating {1, 2} from {k, l} sum to the same class as those
+    separating {1, k} from {2, l}, so the difference of the two row sums
+    pairs to zero with every curve class.
+    """
+    out = []
+    for k, l in permutations(range(2, m.label_set.n), 2):
+        plus = minus = 0
+        for r, sigma in enumerate(m.rows):
+            b = sigma.part_b_mask
+            if b >> k & b >> l & 1:
+                if not b & 2:
+                    plus |= 1 << r
+            elif b & 2 and b >> l & 1:
+                minus |= 1 << r
+        out.append((plus, minus))
+    return out
+
+
+def _gf2_insert(pivots: dict[int, int], v: int) -> bool:
+    """Reduce ``v`` over GF(2) against ``pivots``, keyed by highest set bit.
+
+    A nonzero remainder is added as a new pivot and True returned.
+    """
+    while v:
+        top = v.bit_length() - 1
+        pivot = pivots.get(top)
+        if pivot is None:
+            pivots[top] = v
+            return True
+        v ^= pivot
+    return False
+
+
+def _keel_basis(m: IntersectionMatrix) -> list[tuple[int, int]]:
+    """Keel's relations independent over GF(2), hence over the rationals."""
+    pivots: dict[int, int] = {}
+    return [rel for rel in _keel_relations(m) if _gf2_insert(pivots, rel[0] | rel[1])]
+
+
+def _rank_bounds(m: IntersectionMatrix) -> tuple[int, int]:
+    """A lower and an upper bound on the rational rank of ``m``.
+
+    The lower bound is the rank of the columns over GF(2), which never
+    exceeds the rational rank; columns stop being reduced once it reaches
+    the upper bound.  The upper bound is the row count minus the number of
+    Keel relations independent over GF(2), hence over the rationals; each
+    of them is checked in integers against every column.
+    """
+    basis = _keel_basis(m)
+    upper = len(m.rows) - len(basis)
+    pivots: dict[int, int] = {}
+    for plus, minus in _columns(m):
+        for up, down in basis:
+            _check_internal(
+                (up & plus).bit_count() + (down & minus).bit_count()
+                == (down & plus).bit_count() + (up & minus).bit_count(),
+                "a Keel relation pairs nonzero with a curve class",
+            )
+        if len(pivots) < upper:
+            _gf2_insert(pivots, plus | minus)
+    return len(pivots), upper
 
 
 def matrix_rank(m: IntersectionMatrix | Sequence[Sequence[int]]) -> int:
-    """Exact rank of an integer matrix by fraction-free elimination.
+    """Exact rank of an integer matrix.
 
-    Uses Bareiss pivoting over arbitrary-precision integers, scanning
-    columns in order and taking the first nonzero pivot, so the result is
-    deterministic and free of rounding.
+    An :class:`IntersectionMatrix` is ranked from its sparse columns: the
+    GF(2) rank bounds the rank from below and Keel's relations from above,
+    and when the two meet that is the rank.  Otherwise, and for any plain
+    sequence of rows, Bareiss fraction-free elimination over
+    arbitrary-precision integers gives the rank, scanning columns in order
+    and taking the first nonzero pivot, so the result is deterministic and
+    free of rounding.
     """
-    work = [list(r) for r in (m.entries if isinstance(m, IntersectionMatrix) else m)]
+    if isinstance(m, IntersectionMatrix):
+        lower, upper = _rank_bounds(m)
+        if lower == upper:
+            return lower
+        m = m.entries
+    work = [list(r) for r in m]
     if not work:
         return 0
     ncols = len(work[0])

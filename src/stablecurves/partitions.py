@@ -284,17 +284,26 @@ def c_weight(sigma: TwoPartition) -> int:
     return a * b
 
 
+def _p_masks(pi: DistinguishedPartition) -> tuple[int, int, int]:
+    """Part-b masks of the P-set: each part a union of exactly two blocks."""
+    full = pi.label_set.full_mask
+    b0, b1, b2, b3 = pi.block_masks
+    return (full ^ (b0 | b1), full ^ (b0 | b2), full ^ (b0 | b3))
+
+
+def _n_masks(pi: DistinguishedPartition) -> tuple[int, ...]:
+    """Part-b masks of the N-set: one part a single block of at least 2 labels."""
+    full = pi.label_set.full_mask
+    return tuple(m ^ full if m & 1 else m for m in pi.block_masks if m.bit_count() >= 2)
+
+
 def p_set(pi: DistinguishedPartition) -> tuple[TwoPartition, ...]:
     """The three stable 2-partitions that pair the blocks two against two.
 
     Each part is a union of exactly two blocks.  Ordered by which block
     joins the first one.
     """
-    full = pi.label_set.full_mask
-    b0, b1, b2, b3 = pi.block_masks
-    return tuple(
-        TwoPartition(pi.label_set, full ^ (b0 | bk)) for bk in (b1, b2, b3)
-    )
+    return tuple(TwoPartition(pi.label_set, m) for m in _p_masks(pi))
 
 
 def n_set(pi: DistinguishedPartition) -> tuple[TwoPartition, ...]:
@@ -303,12 +312,7 @@ def n_set(pi: DistinguishedPartition) -> tuple[TwoPartition, ...]:
     Only blocks with at least two labels qualify, so the result is empty
     when all four blocks are singletons.
     """
-    full = pi.label_set.full_mask
-    out = []
-    for m in pi.block_masks:
-        if m.bit_count() >= 2:
-            out.append(TwoPartition(pi.label_set, m if not m & 1 else full ^ m))
-    return tuple(out)
+    return tuple(TwoPartition(pi.label_set, m) for m in _n_masks(pi))
 
 
 def reconstruct_from_p(partitions: Iterable[TwoPartition]) -> DistinguishedPartition:

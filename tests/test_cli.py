@@ -293,6 +293,18 @@ def test_matrix_rank_n5(capsys):
     }
 
 
+def test_matrix_rank_n10_is_sparse(capsys):
+    # The dense route needs a 501 x 34,105 table; the certified one none.
+    payload = run_json(capsys, "matrix", "--n", "10", "--action", "rank")
+    assert payload["result"] == {
+        "cols": 34105,
+        "picard_rank": 466,
+        "rank": 466,
+        "rows": 501,
+        "verdict": "equal",
+    }
+
+
 def test_matrix_emit_tsv(capsys):
     code, out, _ = run(capsys, "matrix", "--n", "5", "--action", "emit", "--format", "tsv")
     assert code == 0

@@ -1,9 +1,10 @@
 """Intersection pairings, anticanonical degrees, and the exact matrix rank.
 
 Three independent oracles live here: a rank computed by dense rational
-elimination (checking the fraction-free integer route), a pairing read
-directly off curve trees (checking the partition route), and the paper's
-pairing rule applied to label sets (checking the P-set and N-set route).
+elimination (checking the fraction-free integer route and the certified
+sparse route), a pairing read directly off curve trees (checking the
+partition route), and the paper's pairing rule applied to label sets
+(checking the P-set and N-set route).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import pytest
 
 from stablecurves import (
     DistinguishedPartition,
+    InternalCheckError,
     InvariantError,
     LabelSet,
     TwoPartition,
@@ -37,6 +39,7 @@ from stablecurves import (
     signature,
     virtual_dimension,
 )
+from stablecurves import intersect
 
 
 # ---------------------------------------------------------------- oracles
@@ -282,12 +285,82 @@ def test_matrix_shapes_and_entries():
 
 
 def test_matrix_rank_matches_rational_oracle_and_frozen_values():
-    s5 = LabelSet.numbered(5)
-    m5 = intersection_matrix(s5)
-    assert matrix_rank(m5) == rank_by_rational_elimination(m5.entries) == 5
-    s6 = LabelSet.numbered(6)
-    m6 = intersection_matrix(s6)
-    assert matrix_rank(m6) == rank_by_rational_elimination(m6.entries) == 16
+    # The certified sparse rank against both dense routes.
+    for n, rank in ((5, 5), (6, 16), (7, 42)):
+        m = intersection_matrix(LabelSet.numbered(n))
+        assert matrix_rank(m) == rank_by_rational_elimination(m.entries) == rank
+    m8 = intersection_matrix(LabelSet.numbered(8))
+    assert matrix_rank(m8) == matrix_rank(m8.entries) == picard_rank(8) == 99
+
+
+def test_sparse_rank_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for n in (5, 6, 7):
+        m = intersection_matrix(LabelSet.numbered(n))
+        assert matrix_rank(m) == sympy.Matrix(m.entries).rank()
+
+
+def test_sparse_rank_never_builds_the_dense_table():
+    m = intersection_matrix(LabelSet.numbered(7))
+    assert matrix_rank(m) == 42
+    assert "entries" not in vars(m)
+
+
+def test_keel_basis_is_in_the_left_kernel():
+    for n in (5, 6, 7, 8):
+        m = intersection_matrix(LabelSet.numbered(n))
+        for up, down in intersect._keel_basis(m):
+            assert up and down and not up & down
+            total = [0] * len(m.cols)
+            for r, row in enumerate(m.entries):
+                sign = (up >> r & 1) - (down >> r & 1)
+                if sign:
+                    total = [t + sign * x for t, x in zip(total, row)]
+            assert total == [0] * len(m.cols)
+
+
+def test_keel_basis_size_is_rows_minus_picard_rank():
+    for n in range(5, 11):
+        m = intersection_matrix(LabelSet.numbered(n))
+        assert len(intersect._keel_basis(m)) == n * (n - 3) // 2
+        assert len(m.rows) - n * (n - 3) // 2 == picard_rank(n)
+
+
+def test_sparse_rank_falls_back_when_bounds_differ(monkeypatch):
+    monkeypatch.setattr(intersect, "_rank_bounds", lambda m: (0, len(m.rows)))
+    m = intersection_matrix(LabelSet.numbered(6))
+    assert matrix_rank(m) == picard_rank(6)
+    assert "entries" in vars(m)
+
+
+def test_sparse_rank_rejects_a_corrupted_relation(monkeypatch):
+    keel = intersect._keel_relations
+
+    def corrupted(m):
+        (up, down), *rest = keel(m)
+        spare = next(r for r in range(len(m.rows)) if not (up | down) >> r & 1)
+        return [(up | 1 << spare, down)] + rest
+
+    monkeypatch.setattr(intersect, "_keel_relations", corrupted)
+    with pytest.raises(InternalCheckError):
+        matrix_rank(intersection_matrix(LabelSet.numbered(6)))
+
+
+def test_sparse_rank_rejects_a_corrupted_column(monkeypatch):
+    columns = intersect._columns
+
+    def corrupted(m):
+        it = columns(m)
+        for plus, minus in it:
+            if minus:
+                yield plus, 0
+                break
+            yield plus, minus
+        yield from it
+
+    monkeypatch.setattr(intersect, "_columns", corrupted)
+    with pytest.raises(InternalCheckError):
+        matrix_rank(intersection_matrix(LabelSet.numbered(6)))
 
 
 def test_matrix_rank_edge_cases():
