@@ -6,107 +6,19 @@ complete census of boundary curves, all in exact integer and rational
 arithmetic.
 """
 
-from .partitions import (
-    DEFAULT_MAX_N,
-    DistinguishedPartition,
-    InternalCheckError,
-    InvariantError,
-    LabelSet,
-    TwoPartition,
-    c_weight,
-    compatible,
-    enumerate_distinguished,
-    enumerate_stable_two_partitions,
-    n_set,
-    p_set,
-    reconstruct_from_p,
-)
-from .trees import (
-    CurveTrees,
-    PartitionSetSignature,
-    StableTree,
-    contract_edge,
-    edge_cut,
-    enumerate_curve_trees,
-    enumerate_trees,
-    exceptional_vertex,
-    forget_and_stabilize,
-    make_tree,
-    pi_of_tree,
-    signature,
-    tree_from_signature,
-    tree_violations,
-    unlabeled_type_key,
-)
-from .intersect import (
-    IntersectionMatrix,
-    intersection_matrix,
-    k_plus_b_pairing,
-    matrix_rank,
-    minus_k_closed,
-    minus_k_divisor_coefficients,
-    minus_k_expanded,
-    pair_divisor_curve,
-    picard_rank,
-    virtual_dimension,
-)
-from .census import (
-    CensusReport,
-    ClassShapeRecord,
-    TypeRecord,
-    class_size_oracle,
-    classes_by_shape,
-    render_table,
-    run_census,
-)
+from . import census, intersect, partitions, trees
+from .partitions import *  # noqa: F401,F403
+from .trees import *  # noqa: F401,F403
+from .intersect import *  # noqa: F401,F403
+from .census import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
+# Every public name of the four layers, each listed once, in its own module.
 __all__ = [
-    "DEFAULT_MAX_N",
-    "InvariantError",
-    "InternalCheckError",
-    "LabelSet",
-    "TwoPartition",
-    "DistinguishedPartition",
-    "c_weight",
-    "compatible",
-    "enumerate_distinguished",
-    "enumerate_stable_two_partitions",
-    "n_set",
-    "p_set",
-    "reconstruct_from_p",
-    "CurveTrees",
-    "PartitionSetSignature",
-    "StableTree",
-    "contract_edge",
-    "edge_cut",
-    "enumerate_curve_trees",
-    "enumerate_trees",
-    "exceptional_vertex",
-    "forget_and_stabilize",
-    "make_tree",
-    "pi_of_tree",
-    "signature",
-    "tree_from_signature",
-    "tree_violations",
-    "unlabeled_type_key",
-    "IntersectionMatrix",
-    "intersection_matrix",
-    "k_plus_b_pairing",
-    "matrix_rank",
-    "minus_k_closed",
-    "minus_k_divisor_coefficients",
-    "minus_k_expanded",
-    "pair_divisor_curve",
-    "picard_rank",
-    "virtual_dimension",
-    "CensusReport",
-    "ClassShapeRecord",
-    "TypeRecord",
-    "class_size_oracle",
-    "classes_by_shape",
-    "render_table",
-    "run_census",
+    *partitions.__all__,
+    *trees.__all__,
+    *intersect.__all__,
+    *census.__all__,
     "__version__",
 ]

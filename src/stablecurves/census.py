@@ -23,7 +23,8 @@ from .partitions import (
     _format_shape,
     _require_bound,
     _require_labels,
-    enumerate_distinguished,
+    _shape_counts,
+    enumerate_distinguished,  # noqa: F401  bench/spans.py patches this name
 )
 from .intersect import minus_k_closed
 from .trees import (
@@ -163,7 +164,7 @@ def _fold_class(
     later class must repeat them.
     """
     curves = sum(bucket.values())
-    _check_internal(curves == _class_size(pi), "class tree count disagrees with its closed form")
+    _check_internal(curves == _class_size(pi.shape), "class tree count disagrees with its closed form")
     breakdown = tuple(sorted(bucket.items()))
     record = shape_records.get(pi.shape)
     if record is None:
@@ -182,17 +183,19 @@ def class_size_oracle(pi: DistinguishedPartition) -> int:
     multiply independently.  The same formula gives the length of
     :func:`enumerate_curve_trees`.
     """
-    return _class_size(pi)
+    return _class_size(pi.shape)
 
 
 def classes_by_shape(s: LabelSet, max_n: int | None = None) -> dict[tuple[int, ...], int]:
-    """How many 4-block partitions of ``s`` exist per block-size shape."""
+    """How many 4-block partitions of ``s`` exist per block-size shape.
+
+    Shapes come in descending order.  Each count is the multinomial
+    n!/(prod b_i! * prod m_j!), m_j counting equal blocks, so no partition
+    is enumerated.
+    """
     _require_labels(s, 4)
     _require_bound(s, max_n)
-    out: dict[tuple[int, ...], int] = {}
-    for pi in enumerate_distinguished(s, max_n=max_n):
-        out[pi.shape] = out.get(pi.shape, 0) + 1
-    return dict(sorted(out.items(), reverse=True))
+    return _shape_counts(s.n)
 
 
 def render_table(report: CensusReport) -> str:

@@ -26,11 +26,8 @@ from .partitions import (
     _require_bound,
     _require_labels,
     bits_of,
-    c_weight,
     enumerate_distinguished,
     enumerate_stable_two_partitions,
-    n_set,
-    p_set,
 )
 from .trees import StableTree, pi_of_tree
 
@@ -71,9 +68,14 @@ def minus_k_closed(pi: DistinguishedPartition) -> int:
     return 2 - len(_n_masks(pi))
 
 
-def _minus_k_coefficient(sigma: TwoPartition) -> Fraction:
-    """Coefficient of the divisor of ``sigma`` in the anticanonical class."""
-    return 2 - Fraction(c_weight(sigma), sigma.label_set.n - 1)
+def _minus_k_coefficient(n: int, part_b_mask: int) -> Fraction:
+    """Coefficient in the anticanonical class of the divisor with this part b.
+
+    A part of j labels gives 2 - j(n - j)/(n - 1); the formula is symmetric
+    in the two parts.
+    """
+    j = part_b_mask.bit_count()
+    return 2 - Fraction(j * (n - j), n - 1)
 
 
 def minus_k_divisor_coefficients(s: LabelSet, max_n: int | None = None) -> dict[TwoPartition, Fraction]:
@@ -85,7 +87,7 @@ def minus_k_divisor_coefficients(s: LabelSet, max_n: int | None = None) -> dict[
     """
     _require_labels(s, 4)
     return {
-        sigma: _minus_k_coefficient(sigma)
+        sigma: _minus_k_coefficient(s.n, sigma.part_b_mask)
         for sigma in enumerate_stable_two_partitions(s, max_n=max_n)
     }
 
@@ -94,14 +96,16 @@ def minus_k_expanded(pi_or_tree: DistinguishedPartition | StableTree) -> Fractio
     """Anticanonical degree recomputed through the divisor expansion.
 
     Sums the coefficient-weighted pairings over the divisors meeting the
-    curve class; only those in the P- and N-sets contribute.  A curve tree
-    is accepted and reduced to its 4-block partition first.  The result is
-    always an integer-valued rational and must match the closed form.
+    curve class; only those in the P- and N-sets contribute, read as
+    part-b masks.  A curve tree is accepted and reduced to its 4-block
+    partition first.  The result is always an integer-valued rational and
+    must match the closed form.
     """
     pi = pi_of_tree(pi_or_tree) if isinstance(pi_or_tree, StableTree) else pi_or_tree
     _require_labels(pi.label_set, 5)
-    plus = sum(map(_minus_k_coefficient, p_set(pi)), Fraction(0))
-    return plus - sum(map(_minus_k_coefficient, n_set(pi)), Fraction(0))
+    n = pi.label_set.n
+    plus = sum(_minus_k_coefficient(n, b) for b in _p_masks(pi))
+    return plus - sum(_minus_k_coefficient(n, b) for b in _n_masks(pi))
 
 
 def k_plus_b_pairing(pi: DistinguishedPartition) -> int:
@@ -126,14 +130,15 @@ class IntersectionMatrix:
     """The divisor-by-curve-class pairing table over one label set.
 
     Rows follow the canonical 2-partition order, columns the canonical
-    4-block partition order.  Only the rows and columns are stored: the
-    dense ``entries`` table is built on first use and then kept, and
-    :func:`matrix_rank` never needs it.
+    4-block partition order.  Only the rows and the columns are stored, the
+    columns as the lazy stream of :func:`enumerate_distinguished`, which
+    every reader walks afresh.  The dense ``entries`` table is built on
+    first use and then kept, and :func:`matrix_rank` never needs it.
     """
 
     label_set: LabelSet
     rows: tuple[TwoPartition, ...]
-    cols: tuple[DistinguishedPartition, ...]
+    cols: Sequence[DistinguishedPartition]
 
     @cached_property
     def entries(self) -> tuple[tuple[int, ...], ...]:
@@ -168,15 +173,15 @@ class IntersectionMatrix:
 def intersection_matrix(s: LabelSet, max_n: int | None = None) -> IntersectionMatrix:
     """Pairing table of all boundary divisors against all curve classes.
 
-    Enumerates the rows and columns once; no cell is computed here.  Each
-    column holds +1 on its P-members and -1 on its N-members, read off its
-    blocks when ``entries`` or :func:`matrix_rank` asks for it.
+    Enumerates the rows; the columns stay a lazy stream, so no column
+    object and no cell is held here.  Each column holds +1 on its P-members
+    and -1 on its N-members, read off its blocks when ``entries`` or
+    :func:`matrix_rank` walks the stream.
     """
     _require_labels(s, 5)
     _require_bound(s, max_n)
     rows = tuple(enumerate_stable_two_partitions(s, max_n=max_n))
-    cols = tuple(enumerate_distinguished(s, max_n=max_n))
-    return IntersectionMatrix(s, rows, cols)
+    return IntersectionMatrix(s, rows, enumerate_distinguished(s, max_n=max_n))
 
 
 def _columns(m: IntersectionMatrix) -> Iterator[tuple[int, int]]:

@@ -9,9 +9,11 @@ operations.
 
 from __future__ import annotations
 
+import math
+from collections import Counter, abc
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable
+from itertools import combinations, combinations_with_replacement, islice
+from typing import Iterable, Iterator
 
 __all__ = [
     "DEFAULT_MAX_N",
@@ -359,33 +361,98 @@ def _masks_compatible(x: int, y: int) -> bool:
     return z == 0 or z == x or z == y
 
 
-def enumerate_distinguished(s: LabelSet, max_n: int | None = None) -> list[DistinguishedPartition]:
+class _LazySequence(abc.Sequence):
+    """A sized sequence built afresh on every pass, read one item at a time.
+
+    Subclasses give ``__len__`` and ``__iter__``; indexing and slicing walk
+    the items up to the requested position, O(index).  ``index`` and
+    ``reversed`` take one pass, where the inherited versions index item by
+    item and so walk the sequence once per item.
+    """
+
+    def __reversed__(self):
+        return reversed(list(self))
+
+    def index(self, value, start: int = 0, stop: int | None = None) -> int:
+        picked = range(len(self))[start:stop]
+        for i, item in zip(picked, islice(self, picked.start, picked.stop)):
+            if item is value or item == value:
+                return i
+        raise ValueError(f"{value!r} is not in the sequence")
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            picked = range(len(self))[index]
+            if not picked:
+                return []
+            if picked.step > 0:
+                return list(islice(self, picked.start, picked.stop, picked.step))
+            return list(islice(self, picked[-1], picked.start + 1, -picked.step))[::-1]
+        return next(islice(self, range(len(self))[index], None))
+
+
+def _shape_counts(n: int) -> dict[tuple[int, ...], int]:
+    """How many 4-block partitions of n labels have each block-size shape.
+
+    Shapes are descending and come in descending order.  A shape b_1..b_4
+    has n!/(prod b_i! * prod m_j!) partitions, m_j counting equal blocks.
+    """
+    return {
+        shape: math.factorial(n)
+        // math.prod(map(math.factorial, (*shape, *Counter(shape).values())))
+        for shape in combinations_with_replacement(range(n - 3, 0, -1), 4)
+        if sum(shape) == n
+    }
+
+
+@dataclass(frozen=True)
+class _DistinguishedPartitions(_LazySequence):
+    """The 4-block partitions of a label set, built afresh on every pass.
+
+    Equal, and hashed alike, when the label sets are.  The length is summed
+    over block-size shapes, so it walks no partition.
+    """
+
+    label_set: LabelSet
+
+    def __len__(self) -> int:
+        return sum(_shape_counts(self.label_set.n).values())
+
+    def __iter__(self) -> Iterator[DistinguishedPartition]:
+        s = self.label_set
+        n = s.n
+        blocks = [1, 0, 0, 0]
+
+        def extend(i: int, used: int) -> Iterator[DistinguishedPartition]:
+            if n - i < 4 - used:
+                return
+            if i == n:
+                yield DistinguishedPartition(s, tuple(blocks))
+                return
+            bit = 1 << i
+            for j in range(used):
+                blocks[j] |= bit
+                yield from extend(i + 1, used)
+                blocks[j] ^= bit
+            if used < 4:
+                blocks[used] |= bit
+                yield from extend(i + 1, used + 1)
+                blocks[used] ^= bit
+
+        return extend(1, 1)
+
+
+def enumerate_distinguished(
+    s: LabelSet, max_n: int | None = None
+) -> abc.Sequence[DistinguishedPartition]:
     """All partitions of ``s`` into exactly 4 nonempty blocks.
 
     Labels are assigned to blocks in restricted-growth order, so the output
     is deterministic and blocks come out already sorted by smallest label.
+    The result is a lazy sized sequence: its length is the closed-form
+    count S(n, 4), each pass builds the partitions anew, and indexing walks
+    them, O(index).
     """
     _require_labels(s, 4)
     _require_bound(s, max_n)
-    n = s.n
-    out: list[DistinguishedPartition] = []
-    blocks = [1, 0, 0, 0]
-
-    def extend(i: int, used: int) -> None:
-        if n - i < 4 - used:
-            return
-        if i == n:
-            out.append(DistinguishedPartition(s, tuple(blocks)))
-            return
-        bit = 1 << i
-        for j in range(used):
-            blocks[j] |= bit
-            extend(i + 1, used)
-            blocks[j] ^= bit
-        if used < 4:
-            blocks[used] |= bit
-            extend(i + 1, used + 1)
-            blocks[used] ^= bit
-
-    extend(1, 1)
-    return out
+    return _DistinguishedPartitions(s)

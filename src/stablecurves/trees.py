@@ -12,10 +12,9 @@ breadth-first order, each edge stored as (parent, child).
 from __future__ import annotations
 
 import math
-from collections import abc
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations, islice, product
+from itertools import combinations, product
 from typing import Iterable, Iterator, Sequence
 
 from .partitions import (
@@ -23,11 +22,13 @@ from .partitions import (
     InvariantError,
     LabelSet,
     TwoPartition,
+    _LazySequence,
     _check_internal,
     _low_bit,
     _masks_compatible,
     _require_bound,
     _require_labels,
+    _shape_counts,
     bits_of,
     compatible,
     enumerate_distinguished,
@@ -444,14 +445,8 @@ def _local_binary_families(k: int) -> tuple[tuple[int, ...], ...]:
     if k == 2:
         return ((),)
     full = (1 << k) - 1
-    rest = full ^ 1
-    subs = []
-    sub = rest
-    while sub:
-        subs.append(sub)
-        sub = (sub - 1) & rest
     fams: list[tuple[int, ...]] = []
-    for b in reversed(subs):
+    for b in range(2, full, 2):  # the nonempty submasks of tails 1..k-1, ascending
         a = full ^ b
         fa = _rooted_binary_families(a) if a.bit_count() >= 2 else ((),)
         fb = _rooted_binary_families(b) if b.bit_count() >= 2 else ((),)
@@ -463,16 +458,14 @@ def _local_binary_families(k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(fams)
 
 
-def _class_size(pi: DistinguishedPartition) -> int:
-    """Number of curve trees in the class of ``pi``, by closed formula.
+def _class_size(shape: Iterable[int]) -> int:
+    """Number of curve trees in a class with the given block sizes, by closed formula.
 
     A block of k labels hangs below the 4-flag vertex as a rooted trivalent
     tree on k tails, of which there are (2k - 3)!!; blocks choose their
     trees independently.
     """
-    return math.prod(
-        math.prod(range(1, 2 * m.bit_count() - 2, 2)) for m in pi.block_masks
-    )
+    return math.prod(math.prod(range(1, 2 * k - 2, 2)) for k in shape)
 
 
 def _curve_trees_in_class(pi: DistinguishedPartition) -> Iterator[StableTree]:
@@ -486,18 +479,20 @@ def _curve_trees_in_class(pi: DistinguishedPartition) -> Iterator[StableTree]:
         yield _from_cut_masks(s, [m for group in chosen for m in group])
 
 
-class CurveTrees(abc.Sequence):
+class CurveTrees(_LazySequence):
     """The curve trees over a label set, built one at a time as they are read.
 
-    Trees come grouped by their 4-block partition, classes in the order of
-    :func:`enumerate_distinguished`.  The length is the closed-form count,
-    so it costs no tree; indexing and slicing walk the trees up to the
+    ``classes`` is the lazy stream of :func:`enumerate_distinguished`, and
+    trees come grouped by their 4-block partition in its order.  The length
+    is the closed-form count, summed over block-size shapes, so it costs no
+    class and no tree; indexing and slicing walk the trees up to the
     requested position.  Every iteration starts afresh.
     """
 
     def __init__(self, classes: Sequence[DistinguishedPartition]):
-        self._classes = tuple(classes)
-        self._len = sum(_class_size(pi) for pi in self._classes)
+        self._classes = classes
+        counts = _shape_counts(classes.label_set.n)
+        self._len = sum(count * _class_size(shape) for shape, count in counts.items())
 
     def __len__(self) -> int:
         return self._len
@@ -510,23 +505,13 @@ class CurveTrees(abc.Sequence):
                 yield tree
         _check_internal(produced == self._len, "curve tree count disagrees with its closed form")
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            picked = range(self._len)[index]
-            if not picked:
-                return []
-            if picked.step > 0:
-                return list(islice(self, picked.start, picked.stop, picked.step))
-            return list(islice(self, picked[-1], picked.start + 1, -picked.step))[::-1]
-        i = range(self._len)[index]
-        return next(islice(self, i, None))
-
 
 def enumerate_curve_trees(s: LabelSet, max_n: int | None = None) -> CurveTrees:
     """All stable trees with n - 4 edges, grouped by their 4-block partition.
 
-    The result is a lazy sequence: it holds the 4-block partitions, and
-    builds each tree only when iteration reaches it.
+    The result is a lazy sequence: it holds the lazy stream of 4-block
+    partitions, and builds each class and tree only when iteration reaches
+    it.
     """
     _require_labels(s, 4)
     _require_bound(s, max_n)

@@ -9,11 +9,16 @@ partition route), and the paper's pairing rule applied to label sets
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import stablecurves
 from stablecurves import (
     DistinguishedPartition,
     InternalCheckError,
@@ -274,7 +279,7 @@ def test_matrix_shapes_and_entries():
         s = LabelSet.numbered(n)
         m = intersection_matrix(s)
         assert m.rows == tuple(enumerate_stable_two_partitions(s))
-        assert m.cols == tuple(enumerate_distinguished(s))
+        assert tuple(m.cols) == tuple(enumerate_distinguished(s))
         assert len(m.rows) == 2 ** (n - 1) - n - 1 and len(m.cols) == classes
         assert all(type(row) is tuple and len(row) == classes for row in m.entries)
         for c, pi in enumerate(m.cols):
@@ -304,6 +309,37 @@ def test_sparse_rank_never_builds_the_dense_table():
     m = intersection_matrix(LabelSet.numbered(7))
     assert matrix_rank(m) == 42
     assert "entries" not in vars(m)
+
+
+def test_matrices_over_one_label_set_are_equal_and_hash_alike():
+    a = intersection_matrix(LabelSet.numbered(6))
+    b = intersection_matrix(LabelSet.numbered(6))
+    assert a == b and hash(a) == hash(b)
+    assert a != intersection_matrix(LabelSet.numbered(7))
+
+
+def test_sparse_rank_heap_in_a_fresh_interpreter():
+    # The columns are read from the lazy class stream, one at a time: the
+    # traced peak is about 0.5 MiB at n = 10, where holding the 34,105
+    # column objects peaked at 7.4 MiB.
+    script = (
+        "import tracemalloc\n"
+        "from stablecurves import LabelSet, intersection_matrix, matrix_rank\n"
+        "s = LabelSet.numbered(10)\n"
+        "tracemalloc.start()\n"
+        "rank = matrix_rank(intersection_matrix(s))\n"
+        "print(rank, tracemalloc.get_traced_memory()[1])\n"
+    )
+    src = str(Path(stablecurves.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert done.returncode == 0, done.stderr
+    rank, peak = map(int, done.stdout.split())
+    assert rank == picard_rank(10) == 466
+    assert peak / 2**20 < 1.5
 
 
 def test_keel_basis_is_in_the_left_kernel():

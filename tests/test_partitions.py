@@ -6,6 +6,8 @@ raw subset enumeration, independent of the bitmask implementation.
 
 from __future__ import annotations
 
+import time
+from collections.abc import Sequence
 from itertools import combinations
 
 import pytest
@@ -185,6 +187,59 @@ def test_distinguished_enumeration_matches_oracles():
             for pi in enumerate_distinguished(LabelSet.numbered(n))
         }
         assert got == set(brute_four_block_partitions(n))
+
+
+def test_distinguished_stream_length_is_the_closed_form():
+    for n in range(4, 11):
+        classes = enumerate_distinguished(LabelSet.numbered(n))
+        assert isinstance(classes, Sequence) and not isinstance(classes, (list, tuple))
+        assert len(classes) == stirling_4(n) == len(list(classes))
+
+
+def test_distinguished_stream_at_n16_walks_nothing_up_front():
+    start = time.perf_counter()
+    classes = enumerate_distinguished(LabelSet.numbered(16))
+    assert len(classes) == 171_798_901 == stirling_4(16)
+    first = classes[0]
+    assert time.perf_counter() - start < 0.5
+    # The first restricted-growth class puts labels 2..13 with label 1.
+    assert first.block_masks == ((1 << 13) - 1, 1 << 13, 1 << 14, 1 << 15)
+
+
+def test_distinguished_stream_indexes_and_slices_like_a_list():
+    classes = enumerate_distinguished(LabelSet.numbered(6))
+    walked = list(classes)
+    assert list(classes) == walked  # a second pass starts afresh
+    for i in (0, 1, 31, 64, -1, -65):
+        assert classes[i] == walked[i]
+    for cut in (slice(None, 20), slice(3, 60, 9), slice(60, 3, -3), slice(None, None, -7),
+                slice(-3, None), slice(200, None), slice(5, 5)):
+        assert classes[cut] == walked[cut]
+    for i in (65, -66):
+        with pytest.raises(IndexError):
+            classes[i]
+    assert list(reversed(classes)) == walked[::-1]
+    assert classes.index(walked[40]) == 40 == classes.index(walked[40], -30, 41)
+    for start, stop in ((41, None), (0, 40), (-20, None)):
+        with pytest.raises(ValueError):
+            classes.index(walked[40], start, stop)
+
+
+def test_distinguished_streams_compare_by_label_set():
+    a = enumerate_distinguished(LabelSet.numbered(6))
+    b = enumerate_distinguished(LabelSet.numbered(6))
+    assert a == b and hash(a) == hash(b)
+    assert a != enumerate_distinguished(LabelSet.numbered(7))
+    assert a != enumerate_distinguished(LabelSet.of("abcdef"))
+
+
+def test_distinguished_stream_validates_at_call_time():
+    with pytest.raises(InvariantError):
+        enumerate_distinguished(LabelSet.numbered(3))
+    with pytest.raises(InvariantError):
+        enumerate_distinguished(LabelSet.numbered(9), max_n=8)
+    with pytest.raises(InvariantError):
+        enumerate_distinguished(LabelSet.numbered(17))
 
 
 # -------------------------------------------------------- p_set, n_set

@@ -40,7 +40,6 @@ from stablecurves import (
     unlabeled_type_key,
 )
 from stablecurves import trees as trees_module
-from stablecurves.census import class_size_oracle
 
 
 # ---------------------------------------------------------------- oracles
@@ -551,7 +550,7 @@ def test_curve_trees_iterate_to_their_closed_form_count():
         curves = enumerate_curve_trees(s)
         walked = list(curves)
         assert len(walked) == len(curves)
-        assert len(walked) == sum(class_size_oracle(pi) for pi in enumerate_distinguished(s))
+        assert len(curves) == len(enumerate_trees(s, n - 4))
         assert len(set(walked)) == len(walked)
         assert walked == eager_curve_trees(s)
         assert list(curves) == walked  # a second pass starts afresh
