@@ -37,11 +37,10 @@ from .partitions import (
 from .trees import (
     StableTree,
     _from_cut_masks,
-    _input_cuts,
+    _intake,
     forget_and_stabilize,
     pi_of_tree,
     signature,
-    tree_violations,
 )
 
 __all__ = ["main", "ParseError"]
@@ -303,6 +302,8 @@ def _cmd_minus_k(args: argparse.Namespace) -> str:
 
 
 def _cmd_matrix(args: argparse.Namespace) -> str:
+    if args.action == "rank" and args.format == "tsv":
+        raise ParseError("--format tsv applies to --action emit only")
     bound = _resolve_max_n(args)
     _check_n(args.n, 5, bound)
     m = intersection_matrix(LabelSet.numbered(args.n), max_n=bound)
@@ -328,16 +329,15 @@ def _cmd_tree(args: argparse.Namespace) -> tuple[str, int]:
     tails, edges, s = parse_tree_literal(args.tree)
     parameters = {"action": args.action, "tree": args.tree}
 
-    problems = tree_violations(tails, edges, s)
+    # One walk validates the input and cuts its edges, for the tree and,
+    # for contract, the edges that stay.
+    problems, cuts = _intake(tails, edges, s)
     if args.action == "validate":
         result = {"valid": not problems, "violations": problems}
         text = _dump(_envelope("tree", parameters, result))
         return text, (EXIT_OK if not problems else EXIT_INVARIANT)
     if problems:
         raise InvariantError("; ".join(problems))
-
-    # One side-of-edge search serves the tree and, for contract, its edges.
-    cuts = _input_cuts([s.mask_of(ts) for ts in tails], edges)
     t = _from_cut_masks(s, cuts)
     if args.action == "signature":
         sig = signature(t)

@@ -74,8 +74,15 @@ class StableTree:
     cuts: tuple[int, ...]
 
     @cached_property
-    def _layout(self) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...], tuple[int, ...]]:
-        """Vertex tails, (parent, child) edges and the cut of each edge."""
+    def _layout(self) -> tuple[
+        tuple[int, ...], tuple[tuple[int, int], ...], tuple[int, ...], tuple[tuple[int, ...], ...]
+    ]:
+        """Per canonical vertex: its tails, the (parent, child) edges, its side, its neighbours.
+
+        The side of vertex v is the set of labels at or below it, away from
+        vertex 0: every label for vertex 0, and the cut of edge k for vertex
+        k + 1, the child of that edge.
+        """
         # Parent of a cut is its smallest proper superset in the family.  In
         # ascending order the cuts still without a parent are pairwise
         # disjoint, and a later cut that meets one of them contains it, as a
@@ -90,24 +97,25 @@ class StableTree:
                 (adopted if x & y else parentless).append(x)
             kids[y] = adopted
             top = parentless
-        kids[self.label_set.full_mask] = top  # vertex 0's side holds every label
-        for lst in kids.values():
-            lst.sort(key=_low_bit)
+        kids[self.label_set.full_mask] = top
 
         # Breadth-first from vertex 0: the list of sides grows while it is
-        # read, vertex v is the one with side order[v], and order[k + 1] is
-        # the cut of edge k.
-        order = [self.label_set.full_mask]
+        # read, and vertex v is the one with side sides[v].
+        sides = [self.label_set.full_mask]
         vertex_tails: list[int] = []
         edges: list[tuple[int, int]] = []
-        for v, m in enumerate(order):
+        neighbours: list[list[int]] = [[]]
+        for v, m in enumerate(sides):
             inner = 0
-            for c in kids[m]:
+            for c in sorted(kids[m], key=_low_bit):
                 inner |= c
-                edges.append((v, len(order)))
-                order.append(c)
+                child = len(sides)
+                edges.append((v, child))
+                neighbours[v].append(child)
+                neighbours.append([v])
+                sides.append(c)
             vertex_tails.append(m & ~inner)
-        return tuple(vertex_tails), tuple(edges), tuple(order[1:])
+        return tuple(vertex_tails), tuple(edges), tuple(sides), tuple(map(tuple, neighbours))
 
     @property
     def vertex_tails(self) -> tuple[int, ...]:
@@ -171,52 +179,65 @@ def _from_cut_masks(s: LabelSet, masks: Iterable[int]) -> StableTree:
     return StableTree(s, tuple(fam))
 
 
-def tree_violations(
+def _intake(
     vertex_tails: Sequence[Iterable], edges: Sequence[Sequence[int]], s: LabelSet
-) -> list[str]:
-    """Every invariant violated by a raw tree description, as messages.
+) -> tuple[list[str], list[int]]:
+    """Every violation of a raw tree description, and the cut of each input edge.
 
-    An empty list means the description is a valid stable tree.
+    The cuts are given only when there are no violations, in the caller's
+    edge order, each as the union of the tails on the side of its edge
+    away from vertex 0, whichever way round the caller wrote the edge.
     """
-    problems: list[str] = []
     nv = len(vertex_tails)
     if nv == 0:
-        return ["not a tree: no vertices"]
+        return ["not a tree: no vertices"], []
 
-    structural_ok = True
-    seen_edges = set()
+    problems: list[str] = []
+    pairs: list[tuple] = []
+    adj: list[list[int]] = [[] for _ in range(nv)]
     for e in edges:
         pair = tuple(e)
+        pairs.append(pair)
         if len(pair) != 2 or not all(isinstance(i, int) for i in pair):
             problems.append(f"not a tree: malformed edge {pair!r}")
-            structural_ok = False
             continue
         i, j = pair
         if not (0 <= i < nv and 0 <= j < nv):
             problems.append(f"not a tree: edge ({i}, {j}) names a missing vertex")
-            structural_ok = False
             continue
         if i == j:
             problems.append(f"not a tree: self-loop at vertex {i}")
-            structural_ok = False
             continue
-        key = (min(i, j), max(i, j))
-        if key in seen_edges:
+        if j in adj[i]:
             problems.append(f"not a tree: duplicate edge ({i}, {j})")
-            structural_ok = False
-        seen_edges.add(key)
+        adj[i].append(j)
+        adj[j].append(i)
 
+    # Breadth-first from vertex 0, each vertex entered once, so the walk
+    # ends on input with cycles too.  The parent of vertex 0 is -1, that
+    # of an unreached vertex None.
+    structural_ok = not problems
+    parent: list[int | None] = [-1] + [None] * (nv - 1)
+    order = [0]
     if structural_ok:
-        adj = _neighbors(nv, edges)
-        if len(edges) != nv - 1:
+        if len(pairs) != nv - 1:
             problems.append(
-                f"not a tree: {nv} vertices need {nv - 1} edges, got {len(edges)}"
+                f"not a tree: {nv} vertices need {nv - 1} edges, got {len(pairs)}"
             )
-        elif len(_walk(adj)[0]) != nv:
-            problems.append("not a tree: graph is disconnected")
+        else:
+            for v in order:
+                for w in adj[v]:
+                    if parent[w] is None:
+                        parent[w] = v
+                        order.append(w)
+            if len(order) != nv:
+                problems.append("not a tree: graph is disconnected")
 
+    # Tails are counted by occurrence: a label repeated at one vertex is
+    # reported as a repeat only, not also as a vertex short of flags.
     seen_labels: dict = {}
     tail_counts = [0] * nv
+    below = [0] * nv  # tails of each vertex, then of its subtree below vertex 0
     for v, tails in enumerate(vertex_tails):
         for token in tails:
             if token not in s.labels:
@@ -226,6 +247,7 @@ def tree_violations(
                 problems.append(f"label coverage: label {token!r} appears more than once")
             seen_labels[token] = v
             tail_counts[v] += 1
+            below[v] |= 1 << s.labels.index(token)
     for token in s.labels:
         if token not in seen_labels:
             problems.append(f"label coverage: missing label {token!r}")
@@ -235,7 +257,21 @@ def tree_violations(
             flags = len(adj[v]) + tail_counts[v]
             if flags < 3:
                 problems.append(f"unstable vertex {v}: only {flags} flags")
-    return problems
+    if problems:
+        return problems, []
+    for v in reversed(order[1:]):
+        below[parent[v]] |= below[v]
+    return problems, [below[j] if parent[j] == i else below[i] for i, j in pairs]
+
+
+def tree_violations(
+    vertex_tails: Sequence[Iterable], edges: Sequence[Sequence[int]], s: LabelSet
+) -> list[str]:
+    """Every invariant violated by a raw tree description, as messages.
+
+    An empty list means the description is a valid stable tree.
+    """
+    return _intake(vertex_tails, edges, s)[0]
 
 
 def make_tree(
@@ -246,51 +282,10 @@ def make_tree(
     Raises :class:`InvariantError` listing every violated invariant when the
     description is not a stable tree over ``s``.
     """
-    vertex_tails = [tuple(ts) for ts in vertex_tails]
-    edges = [tuple(e) for e in edges]
-    problems = tree_violations(vertex_tails, edges, s)
+    problems, cuts = _intake(list(vertex_tails), list(edges), s)
     if problems:
         raise InvariantError("; ".join(problems))
-    return _from_cut_masks(s, _input_cuts([s.mask_of(ts) for ts in vertex_tails], edges))
-
-
-def _input_cuts(tail_masks: Sequence[int], edges: Sequence[tuple[int, int]]) -> list[int]:
-    """Cut of each edge of a valid raw tree, in the caller's edge order.
-
-    Each cut is given as the union of the tails on the side of its edge
-    away from vertex 0, whichever way round the caller wrote the edge.
-    """
-    order, parent = _walk(_neighbors(len(tail_masks), edges))
-    below = list(tail_masks)  # tails of each vertex's subtree below vertex 0
-    for v in reversed(order[1:]):
-        below[parent[v]] |= below[v]
-    return [below[j] if parent[j] == i else below[i] for i, j in edges]
-
-
-def _neighbors(nv: int, edges: Iterable[Sequence[int]]) -> list[list[int]]:
-    """Adjacency lists of the graph with vertices 0..nv-1 and ``edges``."""
-    adj: list[list[int]] = [[] for _ in range(nv)]
-    for i, j in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    return adj
-
-
-def _walk(adj: Sequence[Sequence[int]]) -> tuple[list[int], list[int | None]]:
-    """Vertices reached from vertex 0, each after its parent, and each one's parent.
-
-    The parent of vertex 0 is -1, that of an unreached vertex None.  Every
-    vertex is entered once, so the walk ends on input with cycles too.
-    """
-    parent: list[int | None] = [None] * len(adj)
-    parent[0] = -1
-    order = [0]
-    for v in order:
-        for w in adj[v]:
-            if parent[w] is None:
-                parent[w] = v
-                order.append(w)
-    return order, parent
+    return _from_cut_masks(s, cuts)
 
 
 def edge_cut(t: StableTree, e: Sequence[int]) -> TwoPartition:
@@ -302,10 +297,12 @@ def edge_cut(t: StableTree, e: Sequence[int]) -> TwoPartition:
     if len(pair) != 2:
         raise InvariantError(f"malformed edge {pair!r}")
     i, j = pair
-    _, edges, edge_cuts = t._layout
-    for edge, mask in zip(edges, edge_cuts):
-        if edge == (i, j) or edge == (j, i):
-            return TwoPartition(t.label_set, mask)
+    _, edges, sides, _ = t._layout
+    # Canonical edge k is (parent, k + 1), and its cut is its child's side.
+    if isinstance(i, int) and isinstance(j, int):
+        child = max(i, j)
+        if 0 < child <= len(edges) and edges[child - 1] == (min(i, j), child):
+            return TwoPartition(t.label_set, sides[child])
     raise InvariantError(f"unknown edge ({i}, {j})")
 
 
@@ -386,10 +383,8 @@ def exceptional_vertex(t: StableTree) -> int:
         raise InvariantError(
             f"not a curve tree: expected {n - 4} edges, got {t.codimension}"
         )
-    flags = [m.bit_count() for m in t.vertex_tails]
-    for i, j in t.edges:
-        flags[i] += 1
-        flags[j] += 1
+    vertex_tails, _, _, neighbours = t._layout
+    flags = [m.bit_count() + len(adj) for m, adj in zip(vertex_tails, neighbours)]
     quad = [v for v, f in enumerate(flags) if f == 4]
     if len(quad) != 1:
         raise InvariantError("not a curve tree: no unique 4-flag vertex")
@@ -403,14 +398,11 @@ def pi_of_tree(t: StableTree) -> DistinguishedPartition:
     contributes the labels on its far side.
     """
     v0 = exceptional_vertex(t)
-    vertex_tails, edges, edge_cuts = t._layout
+    vertex_tails, _, sides, neighbours = t._layout
     blocks = [1 << i for i in bits_of(vertex_tails[v0])]
-    for (parent, child), cut in zip(edges, edge_cuts):
-        # The cut of an edge is the side of its child, away from vertex 0.
-        if parent == v0:
-            blocks.append(cut)
-        elif child == v0:
-            blocks.append(t.label_set.full_mask ^ cut)
+    for w in neighbours[v0]:
+        # A child's block is its side; the parent's is all but v0's side.
+        blocks.append(sides[w] if w > v0 else t.label_set.full_mask ^ sides[v0])
     blocks.sort(key=_low_bit)
     return DistinguishedPartition(t.label_set, tuple(blocks))
 
@@ -568,12 +560,12 @@ def unlabeled_type_key(t: StableTree) -> str:
     4-flag vertex; all other trees at the centroid, taking the smaller of
     the two encodings at a bicentroid.
     """
-    adj = _neighbors(t.n_vertices, t.edges)
+    vertex_tails, _, _, neighbours = t._layout
     if t.codimension == t.label_set.n - 4:
         roots = [exceptional_vertex(t)]
     else:
         roots = _centroids(t)
-    return min(_shape_code(t.vertex_tails, adj, r, -1) for r in roots)
+    return min(_shape_code(vertex_tails, neighbours, r, -1) for r in roots)
 
 
 def _shape_code(tails: Sequence[int], adj: Sequence[Sequence[int]], v: int, parent: int) -> str:

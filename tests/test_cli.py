@@ -321,6 +321,14 @@ def test_matrix_emit_json(capsys):
     assert result["col_shapes"][0] == "2+1+1+1"
 
 
+def test_matrix_rank_refuses_tsv(capsys):
+    code, out, err = run(capsys, "matrix", "--n", "5", "--action", "rank", "--format", "tsv")
+    assert (code, out) == (2, "")
+    assert err == "stablecurves: --format tsv applies to --action emit only\n"
+    explicit = run(capsys, "matrix", "--n", "5", "--action", "rank", "--format", "json")
+    assert explicit == run(capsys, "matrix", "--n", "5", "--action", "rank")
+
+
 def test_matrix_rejects_n4(capsys):
     code, _, err = run(capsys, "matrix", "--n", "4")
     assert code == 2

@@ -40,6 +40,7 @@ from stablecurves import (
     unlabeled_type_key,
 )
 from stablecurves import trees as trees_module
+from stablecurves.cli import parse_tree_literal
 
 
 # ---------------------------------------------------------------- oracles
@@ -71,11 +72,13 @@ def cuts_by_reachability(vertex_tails, edges):
     return cuts
 
 
-def canonical_layout(vertex_tails, edges):
-    """The documented numbering of a raw description, found by plain search.
+def canonical_order(vertex_tails, edges):
+    """The raw vertices in the documented numbering, found by plain search.
 
     Vertex 0 holds the smallest label; the others follow breadth-first,
     the children of a vertex in order of the smallest label below them.
+    Returns the raw vertex at each canonical index, and the canonical
+    (parent, child) edges.
     """
     adj = {v: [] for v in range(len(vertex_tails))}
     for a, b in edges:
@@ -94,7 +97,45 @@ def canonical_layout(vertex_tails, edges):
             out_edges.append((order.index(v), len(order)))
             order.append(w)
             queue.append((w, v))
+    return order, out_edges
+
+
+def canonical_layout(vertex_tails, edges):
+    """The sorted tails and the edges of a raw description in the documented numbering."""
+    order, out_edges = canonical_order(vertex_tails, edges)
     return [tuple(sorted(vertex_tails[v])) for v in order], out_edges
+
+
+def labels_beyond(vertex_tails, edges, v, w):
+    """Labels reachable from ``w`` without passing through ``v``."""
+    seen, stack, labels = {v, w}, [w], set()
+    while stack:
+        x = stack.pop()
+        labels.update(vertex_tails[x])
+        for a, b in edges:
+            for y, z in ((a, b), (b, a)):
+                if y == x and z not in seen:
+                    seen.add(z)
+                    stack.append(z)
+    return frozenset(labels)
+
+
+def shuffled_descriptions(n, rng):
+    """Every stable tree over n labels as a raw description in a random form.
+
+    Vertices and the tails at each are shuffled, and so is the edge list,
+    each edge written in a random orientation.
+    """
+    s = LabelSet.numbered(n)
+    for codim in range(n - 2):
+        for t in enumerate_trees(s, codim):
+            order = list(range(t.n_vertices))
+            rng.shuffle(order)
+            tails = [rng.sample(t.tails_at(v), len(t.tails_at(v))) for v in order]
+            edges = [(order.index(i), order.index(j)) for i, j in t.edges]
+            edges = [e if rng.random() < 0.5 else e[::-1] for e in edges]
+            rng.shuffle(edges)
+            yield tails, edges
 
 
 def forget_by_cut_restriction(t, q):
@@ -241,6 +282,47 @@ def test_tree_violations_lists_everything_at_once():
     assert "missing label 5" in text
 
 
+def test_tree_violations_are_listed_whole_and_in_order():
+    literals = {
+        # Tails are counted per occurrence: vertex 2 has its three flags.
+        "[1,2];[3];[4,4]/0-1,1-2": ["label coverage: label 4 appears more than once"],
+        "[1,1];[2];[3]/0-1,1-2": [
+            "label coverage: label 1 appears more than once",
+            "unstable vertex 2: only 2 flags",
+        ],
+        "[1,2];[3,4];[5,6]/0-1": [
+            "not a tree: 3 vertices need 2 edges, got 1",
+            "unstable vertex 2: only 2 flags",
+        ],
+        "[1,2,3];[4];[5];[6]/1-2,2-3,3-1": ["not a tree: graph is disconnected"],
+        # An edge problem stops the walk, so no vertex is judged unstable.
+        "[1,2];[3,4,5];[6,6]/0-0,0-3,1-0,0-1": [
+            "not a tree: self-loop at vertex 0",
+            "not a tree: edge (0, 3) names a missing vertex",
+            "not a tree: duplicate edge (0, 1)",
+            "label coverage: label 6 appears more than once",
+        ],
+    }
+    for text, expected in literals.items():
+        assert tree_violations(*parse_tree_literal(text)) == expected, text
+    s = LabelSet.numbered(5)
+    assert tree_violations([[1, 9], [2, 3, 4]], [(0, 1), ("a", 1), (0, 1, 2)], s) == [
+        "not a tree: malformed edge ('a', 1)",
+        "not a tree: malformed edge (0, 1, 2)",
+        "label coverage: unknown label 9",
+        "label coverage: missing label 5",
+    ]
+    assert tree_violations([], [], s) == ["not a tree: no vertices"]
+
+
+def test_make_tree_accepts_one_shot_iterables():
+    s = LabelSet.numbered(6)
+    t = make_tree(
+        (iter(ts) for ts in [[5, 6], [3, 4], [1, 2]]), (iter(e) for e in [(2, 1), (1, 0)]), s
+    )
+    assert t == make_tree([[1, 2], [3, 4], [5, 6]], [(0, 1), (1, 2)], s)
+
+
 # ------------------------------------------------------ cuts, signature
 
 
@@ -266,6 +348,31 @@ def test_edge_cut_unknown_edge():
     t = make_tree([[1, 2], [3, 4, 5]], [(0, 1)], s)
     with pytest.raises(InvariantError, match="unknown edge"):
         edge_cut(t, (0, 2))
+
+
+def test_edge_cut_looks_up_only_real_edges():
+    # Canonical trees from shuffled raw descriptions: a real edge, named
+    # either way round, cuts off what reachability on the raw input finds;
+    # every other pair of indices is refused.
+    rng = random.Random(5)
+    for n in range(3, 7):
+        for tails, edges in shuffled_descriptions(n, rng):
+            t = make_tree(tails, edges, LabelSet.numbered(n))
+            order, _ = canonical_order(tails, edges)
+            raw_edges = {frozenset(e) for e in edges}
+            nv = t.n_vertices
+            for i, j in product(range(-1, nv + 1), repeat=2):
+                if 0 <= i < nv and 0 <= j < nv and frozenset((order[i], order[j])) in raw_edges:
+                    side = labels_beyond(tails, edges, order[i], order[j])
+                    rest = frozenset(t.label_set.labels) - side
+                    assert as_pair(edge_cut(t, (i, j))) == frozenset((side, rest))
+                else:
+                    with pytest.raises(InvariantError, match=f"unknown edge \\({i}, {j}\\)"):
+                        edge_cut(t, (i, j))
+            with pytest.raises(InvariantError, match="unknown edge"):
+                edge_cut(t, ("a", 0))
+            with pytest.raises(InvariantError, match="malformed edge"):
+                edge_cut(t, (0, 1, 2))
 
 
 def test_signature_matches_reachability_oracle():
@@ -457,6 +564,26 @@ def test_exceptional_vertex_rejects_wrong_codimension():
     star = make_tree([[1, 2, 3, 4, 5]], [], s)
     with pytest.raises(InvariantError, match="not a curve tree"):
         exceptional_vertex(star)
+
+
+def test_curve_tree_readings_match_the_raw_description():
+    # The 4-flag vertex and the blocks around it, found on shuffled raw
+    # input by counting flags and by plain reachability.
+    rng = random.Random(9)
+    for n in (5, 6, 7):
+        for tails, edges in shuffled_descriptions(n, rng):
+            if len(edges) != n - 4:
+                continue
+            t = make_tree(tails, edges, LabelSet.numbered(n))
+            order, _ = canonical_order(tails, edges)
+            degree = [sum(v in e for e in edges) for v in range(len(tails))]
+            (quad,) = [v for v, ts in enumerate(tails) if len(ts) + degree[v] == 4]
+            assert exceptional_vertex(t) == order.index(quad)
+            blocks = {frozenset([x]) for x in tails[quad]}
+            for a, b in edges:
+                if quad in (a, b):
+                    blocks.add(labels_beyond(tails, edges, quad, b if a == quad else a))
+            assert {frozenset(b) for b in pi_of_tree(t).blocks} == blocks
 
 
 def test_pi_of_tree_examples():
