@@ -5,15 +5,19 @@ combinatorial type, and by the 4-block partition naming its numerical
 class.  Counts per class depend only on the block sizes, so classes are
 reported grouped by shape.
 
-The trees of one class arrive together, so the census keeps the type
-breakdown of the current class only.  When the class ends it is checked
-against the closed-form class size and folded into its shape's record,
-which every later class of that shape must match.
+Each shape's record takes its class count from the multinomial and its
+curves per class from the product of (2b - 3)!! over its blocks.  The walk
+checks them: the trees of one class arrive together, so the census keeps
+the type breakdown of the current class only.  When the class ends its
+tree count must equal the closed form, and its breakdown and degree those
+of the first class of its shape; at the end each shape must have been
+walked as many times as the multinomial says.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import dataclass
 from itertools import groupby
 
 from .partitions import (
@@ -105,10 +109,11 @@ def run_census(s: LabelSet, max_n: int | None = None) -> CensusReport:
     _require_labels(s, 4)
     _require_bound(s, max_n)
 
-    type_counts: dict[str, int] = {}
+    type_counts: Counter[str] = Counter()
     type_rep: dict[str, StableTree] = {}
     type_minus_k: dict[str, int] = {}
-    shape_records: dict[tuple[int, ...], ClassShapeRecord] = {}
+    shape_walked: Counter[tuple[int, ...]] = Counter()
+    shape_first: dict[tuple[int, ...], tuple] = {}  # breakdown and degree of its first class
 
     # A tree's degree is its class's, so it is computed once per class and
     # each type's degree is checked once per class it occurs in.
@@ -117,14 +122,22 @@ def run_census(s: LabelSet, max_n: int | None = None) -> CensusReport:
         bucket: dict[str, int] = {}
         for tree in trees:
             key = unlabeled_type_key(tree)
-            type_counts[key] = type_counts.get(key, 0) + 1
             if key not in bucket:
                 type_rep.setdefault(key, tree)
                 first_degree = type_minus_k.setdefault(key, degree)
                 _check_internal(first_degree == degree, "type mixes degrees")
             bucket[key] = bucket.get(key, 0) + 1
-        _fold_class(shape_records, pi, bucket, degree)
+        curves = sum(bucket.values())
+        _check_internal(curves == _class_size(pi.shape), "class tree count disagrees with its closed form")
+        type_counts.update(bucket)
+        breakdown = tuple(sorted(bucket.items()))
+        shape_breakdown, shape_degree = shape_first.setdefault(pi.shape, (breakdown, degree))
+        _check_internal(shape_breakdown == breakdown, "shape mixes breakdowns")
+        _check_internal(shape_degree == degree, "shape mixes degrees")
+        shape_walked[pi.shape] += 1
 
+    counts = _shape_counts(s.n)
+    _check_internal(shape_walked == counts, "class count per shape disagrees with its closed form")
     names = _n7_type_names() if s.n == 7 else {}
     types = tuple(
         TypeRecord(
@@ -136,7 +149,10 @@ def run_census(s: LabelSet, max_n: int | None = None) -> CensusReport:
         )
         for key in sorted(type_counts, key=lambda k: (-type_counts[k], k))
     )
-    records = [shape_records[shape] for shape in sorted(shape_records, reverse=True)]
+    records = tuple(
+        ClassShapeRecord(shape, count, _class_size(shape), *shape_first[shape])
+        for shape, count in counts.items()
+    )
 
     total_curves = sum(type_counts.values())
     _check_internal(
@@ -146,33 +162,10 @@ def run_census(s: LabelSet, max_n: int | None = None) -> CensusReport:
     return CensusReport(
         n=s.n,
         types=types,
-        classes=tuple(records),
+        classes=records,
         total_curves=total_curves,
-        total_classes=sum(r.class_count for r in records),
+        total_classes=sum(counts.values()),
     )
-
-
-def _fold_class(
-    shape_records: dict[tuple[int, ...], ClassShapeRecord],
-    pi: DistinguishedPartition,
-    bucket: dict[str, int],
-    degree: int,
-) -> None:
-    """Fold one finished class, its trees counted by type, into its shape's record.
-
-    The first class of a shape sets the record's breakdown and degree; every
-    later class must repeat them.
-    """
-    curves = sum(bucket.values())
-    _check_internal(curves == _class_size(pi.shape), "class tree count disagrees with its closed form")
-    breakdown = tuple(sorted(bucket.items()))
-    record = shape_records.get(pi.shape)
-    if record is None:
-        shape_records[pi.shape] = ClassShapeRecord(pi.shape, 1, curves, breakdown, degree)
-        return
-    _check_internal(record.curves_per_class_by_type == breakdown, "shape mixes breakdowns")
-    _check_internal(record.minus_k == degree, "shape mixes degrees")
-    shape_records[pi.shape] = replace(record, class_count=record.class_count + 1)
 
 
 def class_size_oracle(pi: DistinguishedPartition) -> int:

@@ -78,6 +78,8 @@ def _block_tokens(block: str, whole: bool = False) -> list[str]:
     for t in tokens:
         if not t:
             raise ParseError(f"empty label token in block {block!r}")
+        if any(c.isspace() for c in t):
+            raise ParseError(f"label token {t!r} holds whitespace in block {block!r}")
     return tokens
 
 
@@ -259,19 +261,19 @@ def _check_n(n: int, minimum: int, bound: int) -> None:
         raise ParseError(f"--n {n} exceeds the bound {bound}; raise --max-n to allow it")
 
 
-def _cmd_census(args: argparse.Namespace) -> str:
+def _cmd_census(args: argparse.Namespace) -> tuple[str, int]:
     bound = _resolve_max_n(args)
     _check_n(args.n, 4, bound)
     report = run_census(LabelSet.numbered(args.n), max_n=bound)
     if args.format == "tsv":
-        return _census_tsv(report)
+        return _census_tsv(report), EXIT_OK
     if args.format == "table":
-        return render_table(report)
+        return render_table(report), EXIT_OK
     parameters = {"n": args.n, "format": args.format, "max_n": bound}
-    return _dump(_envelope("census", parameters, _census_payload(report)))
+    return _dump(_envelope("census", parameters, _census_payload(report))), EXIT_OK
 
 
-def _cmd_pair(args: argparse.Namespace) -> str:
+def _cmd_pair(args: argparse.Namespace) -> tuple[str, int]:
     sigma = parse_two_partition(args.sigma)
     pi = parse_distinguished(args.pi)
     if sigma.label_set != pi.label_set:
@@ -280,10 +282,10 @@ def _cmd_pair(args: argparse.Namespace) -> str:
     kind = {1: "P-member", -1: "N-member", 0: "neither"}[value]
     parameters = {"sigma": args.sigma, "pi": args.pi}
     result = {"pairing": value, "classification": kind}
-    return _dump(_envelope("pair", parameters, result))
+    return _dump(_envelope("pair", parameters, result)), EXIT_OK
 
 
-def _cmd_minus_k(args: argparse.Namespace) -> str:
+def _cmd_minus_k(args: argparse.Namespace) -> tuple[str, int]:
     pi = parse_distinguished(args.pi)
     result: dict = {}
     if args.route in ("closed", "both"):
@@ -298,10 +300,10 @@ def _cmd_minus_k(args: argparse.Namespace) -> str:
         )
         result["equal"] = True
     parameters = {"pi": args.pi, "route": args.route}
-    return _dump(_envelope("minus-k", parameters, result))
+    return _dump(_envelope("minus-k", parameters, result)), EXIT_OK
 
 
-def _cmd_matrix(args: argparse.Namespace) -> str:
+def _cmd_matrix(args: argparse.Namespace) -> tuple[str, int]:
     if args.action == "rank" and args.format == "tsv":
         raise ParseError("--format tsv applies to --action emit only")
     bound = _resolve_max_n(args)
@@ -309,9 +311,9 @@ def _cmd_matrix(args: argparse.Namespace) -> str:
     m = intersection_matrix(LabelSet.numbered(args.n), max_n=bound)
     if args.action == "emit":
         if args.format == "tsv":
-            return m.to_tsv()
+            return m.to_tsv(), EXIT_OK
         parameters = {"n": args.n, "action": "emit", "format": args.format, "max_n": bound}
-        return _dump(_envelope("matrix", parameters, m.to_object()))
+        return _dump(_envelope("matrix", parameters, m.to_object())), EXIT_OK
     rank = matrix_rank(m)
     expected = picard_rank(args.n)
     result = {
@@ -322,7 +324,7 @@ def _cmd_matrix(args: argparse.Namespace) -> str:
         "verdict": "equal" if rank == expected else "unequal",
     }
     parameters = {"n": args.n, "action": "rank", "max_n": bound}
-    return _dump(_envelope("matrix", parameters, result))
+    return _dump(_envelope("matrix", parameters, result)), EXIT_OK
 
 
 def _cmd_tree(args: argparse.Namespace) -> tuple[str, int]:
@@ -388,24 +390,24 @@ def build_parser() -> argparse.ArgumentParser:
     census.add_argument("--n", type=int, required=True, help="number of labels")
     census.add_argument("--format", choices=("json", "tsv", "table"), default="json")
     census.add_argument("--max-n", type=int, dest="max_n", help="enumeration bound override")
-    census.add_argument("--output", help="write to this file instead of stdout")
+    census.set_defaults(run=_cmd_census)
 
     pair = sub.add_parser("pair", help="pair one boundary divisor with one curve class")
     pair.add_argument("--sigma", required=True, help="2-partition literal, e.g. 12|3456")
     pair.add_argument("--pi", required=True, help="4-block partition literal, e.g. 1|2|3|456")
-    pair.add_argument("--output", help="write to this file instead of stdout")
+    pair.set_defaults(run=_cmd_pair)
 
     minus_k = sub.add_parser("minus-k", help="anticanonical degree of a curve class")
     minus_k.add_argument("--pi", required=True, help="4-block partition literal")
     minus_k.add_argument("--route", choices=("closed", "expanded", "both"), default="both")
-    minus_k.add_argument("--output", help="write to this file instead of stdout")
+    minus_k.set_defaults(run=_cmd_minus_k)
 
     matrix = sub.add_parser("matrix", help="divisor-by-class pairing matrix")
     matrix.add_argument("--n", type=int, required=True, help="number of labels")
     matrix.add_argument("--action", choices=("emit", "rank"), default="rank")
     matrix.add_argument("--format", choices=("json", "tsv"), default="json")
     matrix.add_argument("--max-n", type=int, dest="max_n", help="enumeration bound override")
-    matrix.add_argument("--output", help="write to this file instead of stdout")
+    matrix.set_defaults(run=_cmd_matrix)
 
     tree = sub.add_parser("tree", help="inspect or transform one stable tree")
     tree.add_argument(
@@ -418,7 +420,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     tree.add_argument("--edge", help="edge i-j for the contract action")
     tree.add_argument("--forget-set", dest="forget_set", help="labels to forget")
-    tree.add_argument("--output", help="write to this file instead of stdout")
+    tree.set_defaults(run=_cmd_tree)
+
+    for command in sub.choices.values():
+        command.add_argument("--output", help="write to this file instead of stdout")
     return parser
 
 
@@ -426,16 +431,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "census":
-            text, code = _cmd_census(args), EXIT_OK
-        elif args.command == "pair":
-            text, code = _cmd_pair(args), EXIT_OK
-        elif args.command == "minus-k":
-            text, code = _cmd_minus_k(args), EXIT_OK
-        elif args.command == "matrix":
-            text, code = _cmd_matrix(args), EXIT_OK
-        else:
-            text, code = _cmd_tree(args)
+        text, code = args.run(args)
     except ParseError as exc:
         print(f"stablecurves: {exc}", file=sys.stderr)
         return EXIT_USAGE

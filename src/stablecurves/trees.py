@@ -380,6 +380,7 @@ def exceptional_vertex(t: StableTree) -> int:
     """
     n = t.label_set.n
     if t.codimension != n - 4:
+        _require_labels(t.label_set, 4)
         raise InvariantError(
             f"not a curve tree: expected {n - 4} edges, got {t.codimension}"
         )

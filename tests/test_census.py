@@ -281,6 +281,24 @@ def test_census_rejects_a_class_split_into_two_runs(monkeypatch):
         run_census(LabelSet.numbered(7))
 
 
+def drop_first_class(trees):
+    pi = pi_of_tree(trees[0])
+    trees[:] = [t for t in trees if pi_of_tree(t) != pi]
+
+
+def repeat_last_class(trees):
+    pi = pi_of_tree(trees[-1])
+    trees[:0] = [t for t in trees if pi_of_tree(t) == pi]
+
+
+@pytest.mark.parametrize("edit", [drop_first_class, repeat_last_class])
+def test_census_rejects_a_missing_or_repeated_class(monkeypatch, edit):
+    # Every class walked is whole, so only the per-shape class count sees it.
+    census_trees_with(monkeypatch, edit)
+    with pytest.raises(InternalCheckError, match="^class count per shape disagrees"):
+        run_census(LabelSet.numbered(7))
+
+
 def test_census_rejects_a_shape_with_mixed_breakdowns(monkeypatch):
     s = LabelSet.numbered(7)
     odd = next(pi for pi in enumerate_distinguished(s) if pi.shape == (4, 1, 1, 1))
@@ -316,8 +334,8 @@ def test_census_rejects_a_short_class_under_optimize():
 
 
 def test_census_heap_in_a_fresh_interpreter():
-    # The census holds the current class, one class bucket, the shape
-    # records and one family memo entry per block size: about 0.4 MiB.  The
+    # The census holds the current class, one class bucket, one breakdown
+    # per shape and one family memo entry per block size: about 0.4 MiB.  The
     # materialised class list added 0.3 MiB, and a breakdown dict per
     # class with a family memo entry per block mask peaked at 1.7 MiB.
     script = (

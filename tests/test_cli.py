@@ -32,6 +32,9 @@ from stablecurves.cli import (
 )
 
 
+EXPECTED = Path(__file__).parent / "expected"
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -113,6 +116,14 @@ def test_census_tsv_has_header_and_total(capsys):
     assert lines[0].split("\t")[0] == "kind"
     assert lines[-1].startswith("total\t")
     assert "\t10\t" in lines[-1]
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv", "table"])
+def test_census_n7_text_is_pinned(capsys, monkeypatch, fmt):
+    monkeypatch.delenv(ENV_MAX_N, raising=False)  # the envelope records the bound
+    code, out, _ = run(capsys, "census", "--n", "7", "--format", fmt)
+    assert code == 0
+    assert out.encode() == (EXPECTED / f"census-n7.{fmt}").read_bytes()
 
 
 def test_census_rejects_small_n(capsys):
@@ -212,6 +223,32 @@ def test_minus_k_comma_literal(capsys):
 def test_minus_k_multi_digit_singletons(capsys):
     payload = run_json(capsys, "minus-k", "--pi", "1,2,3,4,5,6,7|8|9|10")
     assert payload["result"] == {"closed": 1, "equal": True, "expanded": 1}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("minus-k", "--pi", "1|2|3|4 5"),
+        ("minus-k", "--pi", "1,2|3|4|5 6,7"),
+        ("tree", "--action", "validate", "--tree", "[1 2];[34];[56]/0-1,1-2"),
+        ("tree", "--action", "validate", "--tree", "[1,2];[3,4 5];[6,7]/0-1,1-2"),
+        ("tree", "--action", "forget", "--tree", "[a,b];[c,d];[e,f]/0-1,1-2", "--forget-set", "c d"),
+    ],
+)
+def test_whitespace_inside_a_label_is_a_parse_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "holds whitespace" in err
+
+
+def test_spaces_around_comma_separated_labels_are_stripped(capsys):
+    payload = run_json(capsys, "minus-k", "--pi", " 1 , 2 | 3 |4| 5,6 ", "--route", "closed")
+    assert payload["result"] == {"closed": 0}
+    payload = run_json(
+        capsys, "tree", "--action", "forget", "--tree", "[ a, b ];[c ,d];[e,f]/0-1,1-2",
+        "--forget-set", " c , d ",
+    )
+    assert payload["result"]["tree"]["vertices"] == [["a", "b"], ["e", "f"]]
 
 
 def test_partition_literals_round_trip_at_two_digit_labels():

@@ -564,6 +564,11 @@ def test_exceptional_vertex_rejects_wrong_codimension():
     star = make_tree([[1, 2, 3, 4, 5]], [], s)
     with pytest.raises(InvariantError, match="not a curve tree"):
         exceptional_vertex(star)
+    # Below 4 labels no tree has n - 4 edges; the refusal names the label count.
+    tripod = make_tree([[1, 2, 3]], [], LabelSet.numbered(3))
+    for reading in (exceptional_vertex, pi_of_tree):
+        with pytest.raises(InvariantError, match="^operation needs at least 4 labels, got 3$"):
+            reading(tripod)
 
 
 def test_curve_tree_readings_match_the_raw_description():
