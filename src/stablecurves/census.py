@@ -17,12 +17,12 @@ walked as many times as the multinomial says.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import groupby
 
 from .partitions import (
     DistinguishedPartition,
     LabelSet,
+    _Record,
     _check_internal,
     _format_shape,
     _require_bound,
@@ -51,8 +51,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TypeRecord:
+class TypeRecord(_Record):
     """One unlabeled combinatorial type of curve tree."""
 
     type_key: str
@@ -62,8 +61,7 @@ class TypeRecord:
     minus_k: int
 
 
-@dataclass(frozen=True)
-class ClassShapeRecord:
+class ClassShapeRecord(_Record):
     """All curve classes sharing one multiset of block sizes."""
 
     shape: tuple[int, ...]
@@ -73,8 +71,7 @@ class ClassShapeRecord:
     minus_k: int
 
 
-@dataclass(frozen=True)
-class CensusReport:
+class CensusReport(_Record):
     n: int
     types: tuple[TypeRecord, ...]
     classes: tuple[ClassShapeRecord, ...]

@@ -8,7 +8,6 @@ integers and exact rationals; no floats appear anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import permutations
@@ -19,6 +18,7 @@ from .partitions import (
     InvariantError,
     LabelSet,
     TwoPartition,
+    _Record,
     _check_internal,
     _format_shape,
     _n_masks,
@@ -125,8 +125,7 @@ def picard_rank(n: int) -> int:
     return 2 ** (n - 1) - n * (n - 1) // 2 - 1
 
 
-@dataclass(frozen=True)
-class IntersectionMatrix:
+class IntersectionMatrix(_Record):
     """The divisor-by-curve-class pairing table over one label set.
 
     Rows follow the canonical 2-partition order, columns the canonical

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter, abc
-from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, islice
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -70,8 +70,61 @@ def _low_bit(mask: int) -> int:
     return mask & -mask
 
 
-@dataclass(frozen=True)
-class LabelSet:
+class _Record:
+    """Base of the package's immutable value classes.
+
+    The fields are the class's own annotations, in order.  A record is built
+    from them positionally or by keyword, then ``__post_init__``, looked up
+    on the class, validates it.  A class built in hot loops writes its own
+    ``__init__``, about twice as fast, which calls ``__post_init__`` when
+    the class has one.  Fields cannot be set or deleted.  Records are equal
+    when of one class with equal fields, and hash as the tuple of fields.
+    Instances keep a ``__dict__``, where ``functools.cached_property``
+    stores derived views.
+    """
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # Only the annotation names are read, so none is ever evaluated.
+        cls._fields = cls.__match_args__ = tuple(cls.__annotations__)
+        get = attrgetter(*cls._fields)
+        # attrgetter returns a lone field bare; it is hashed as a 1-tuple.
+        cls._values = staticmethod(get if len(cls._fields) > 1 else lambda x: (get(x),))
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self._fields
+        if kwargs:
+            args = (*args, *[kwargs.pop(f) for f in names[len(args) :] if f in kwargs])
+        if kwargs or len(args) != len(names):
+            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(names)}")
+        for name, value in zip(names, args):
+            # Not through __dict__: on CPython 3.11 and 3.12, touching it
+            # turns every later field read into a dict lookup.
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({inner})"
+
+
+class LabelSet(_Record):
     """A finite set of marking labels in a fixed canonical order."""
 
     labels: tuple
@@ -150,8 +203,7 @@ def _format_shape(shape: Iterable[int]) -> str:
     return "+".join(map(str, shape))
 
 
-@dataclass(frozen=True)
-class TwoPartition:
+class TwoPartition(_Record):
     """A stable unordered 2-partition of a label set.
 
     Both parts have at least two labels.  Canonical orientation: ``part_a``
@@ -161,6 +213,11 @@ class TwoPartition:
 
     label_set: LabelSet
     part_b_mask: int
+
+    def __init__(self, label_set: LabelSet, part_b_mask: int) -> None:
+        object.__setattr__(self, "label_set", label_set)
+        object.__setattr__(self, "part_b_mask", part_b_mask)
+        self.__post_init__()
 
     def __post_init__(self):
         full = self.label_set.full_mask
@@ -206,8 +263,7 @@ def partition_sort_key(sigma: TwoPartition) -> tuple:
     return (sigma.part_b_mask.bit_count(), bits_of(sigma.part_b_mask))
 
 
-@dataclass(frozen=True)
-class DistinguishedPartition:
+class DistinguishedPartition(_Record):
     """An unordered partition of the label set into exactly four nonempty blocks.
 
     Blocks are stored in ascending order of their smallest label, so block
@@ -216,6 +272,11 @@ class DistinguishedPartition:
 
     label_set: LabelSet
     block_masks: tuple[int, int, int, int]
+
+    def __init__(self, label_set: LabelSet, block_masks: tuple[int, int, int, int]) -> None:
+        object.__setattr__(self, "label_set", label_set)
+        object.__setattr__(self, "block_masks", block_masks)
+        self.__post_init__()
 
     def __post_init__(self):
         masks = self.block_masks
@@ -405,8 +466,7 @@ def _shape_counts(n: int) -> dict[tuple[int, ...], int]:
     }
 
 
-@dataclass(frozen=True)
-class _DistinguishedPartitions(_LazySequence):
+class _DistinguishedPartitions(_Record, _LazySequence):
     """The 4-block partitions of a label set, built afresh on every pass.
 
     Equal, and hashed alike, when the label sets are.  The length is summed

@@ -12,7 +12,6 @@ breadth-first order, each edge stored as (parent, child).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, product
 from typing import Iterable, Iterator, Sequence
@@ -23,6 +22,7 @@ from .partitions import (
     LabelSet,
     TwoPartition,
     _LazySequence,
+    _Record,
     _check_internal,
     _low_bit,
     _masks_compatible,
@@ -55,8 +55,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class StableTree:
+class StableTree(_Record):
     """A stable tree, stored as its family of edge cuts.
 
     ``cuts`` holds, for every edge, the side of its cut that avoids the
@@ -72,6 +71,10 @@ class StableTree:
 
     label_set: LabelSet
     cuts: tuple[int, ...]
+
+    def __init__(self, label_set: LabelSet, cuts: tuple[int, ...]) -> None:
+        object.__setattr__(self, "label_set", label_set)
+        object.__setattr__(self, "cuts", cuts)
 
     @cached_property
     def _layout(self) -> tuple[
@@ -137,32 +140,40 @@ class StableTree:
         return self.label_set.labels_of(self.vertex_tails[v])
 
 
-@dataclass(frozen=True)
-class PartitionSetSignature:
+class PartitionSetSignature(_Record):
     """A set of pairwise compatible, distinct stable 2-partitions.
 
     Stored sorted in the canonical partition order.  Two stable trees are
-    isomorphic exactly when their signatures are equal.
+    isomorphic exactly when their signatures are equal.  The constructor
+    trusts its input; :meth:`of` and :func:`tree_from_signature` check it.
     """
 
     label_set: LabelSet
     partitions: tuple[TwoPartition, ...]
 
+    def __init__(self, label_set: LabelSet, partitions: tuple[TwoPartition, ...]) -> None:
+        object.__setattr__(self, "label_set", label_set)
+        object.__setattr__(self, "partitions", partitions)
+
     @classmethod
     def of(cls, label_set: LabelSet, partitions: Iterable[TwoPartition]) -> "PartitionSetSignature":
-        parts = list(partitions)
-        for p in parts:
-            if p.label_set != label_set:
-                raise InvariantError("signature element over a different label set")
-        if len(set(parts)) != len(parts):
-            raise InvariantError("signature elements must be distinct")
-        for x, y in combinations(parts, 2):
-            if not compatible(x, y):
-                raise InvariantError(
-                    f"incompatible set: {x.literal()} crosses {y.literal()}"
-                )
-        parts.sort(key=partition_sort_key)
-        return cls(label_set, tuple(parts))
+        parts = tuple(sorted(partitions, key=partition_sort_key))
+        _check_signature(label_set, parts)
+        return cls(label_set, parts)
+
+
+def _check_signature(s: LabelSet, parts: Sequence[TwoPartition]) -> None:
+    """Refuse anything but distinct, pairwise compatible cuts of ``s`` in canonical order."""
+    if any(p.label_set != s for p in parts):
+        raise InvariantError("signature element over a different label set")
+    keys = [partition_sort_key(p) for p in parts]
+    if len(set(keys)) != len(keys):
+        raise InvariantError("signature elements must be distinct")
+    if keys != sorted(keys):
+        raise InvariantError("signature elements must be in the canonical partition order")
+    for x, y in combinations(parts, 2):
+        if not compatible(x, y):
+            raise InvariantError(f"incompatible set: {x.literal()} crosses {y.literal()}")
 
 
 def _from_cut_masks(s: LabelSet, masks: Iterable[int]) -> StableTree:
@@ -319,12 +330,13 @@ def tree_from_signature(
 ) -> StableTree:
     """Rebuild the unique stable tree whose edge cuts are ``sig``.
 
-    A plain iterable of 2-partitions is accepted and validated; ``s`` is
-    only required when it cannot be read off a signature element.
+    A plain iterable of 2-partitions is accepted too.  Either is validated;
+    ``s`` is only required when it cannot be read off a signature element.
     """
     if isinstance(sig, PartitionSetSignature):
         if s is not None and s != sig.label_set:
             raise InvariantError("signature is over a different label set")
+        _check_signature(sig.label_set, sig.partitions)
         resolved = sig
     else:
         parts = tuple(sig)

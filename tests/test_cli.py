@@ -505,3 +505,14 @@ def test_census_cross_check_fails_under_optimize():
     done = run_python("-O", "-c", script)
     assert done.returncode == 4, done.stderr
     assert b"type mixes degrees" in done.stderr
+
+
+def test_cli_import_loads_no_introspection_modules():
+    # Start-up is most of the latency of a small command; these are the
+    # modules ``dataclasses`` pulls in.
+    code = "import sys; seen = set(sys.modules); import stablecurves.cli; print(*set(sys.modules) - seen)"
+    out = run_python("-c", code)
+    assert out.returncode == 0, out.stderr
+    loaded = set(out.stdout.decode().split())
+    assert "stablecurves.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}

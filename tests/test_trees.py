@@ -440,6 +440,25 @@ def test_tree_from_signature_rejects_duplicates():
         tree_from_signature([sigma, sigma], s)
 
 
+def test_tree_from_signature_checks_a_constructed_signature():
+    s = LabelSet.numbered(6)
+    a, b = TwoPartition(s, 0b000110), TwoPartition(s, 0b001100)  # cuts {2,3} and {3,4}
+    cases = {
+        "incompatible set": (a, b),
+        "distinct": (a, a),
+        "different label set": (a, TwoPartition(LabelSet.numbered(7), 0b0110000)),
+        "canonical partition order": (TwoPartition(s, 0b110000), a),
+    }
+    for message, parts in cases.items():
+        with pytest.raises(InvariantError, match=message):
+            tree_from_signature(PartitionSetSignature(s, parts))
+    for message in ("incompatible set", "distinct", "different label set"):
+        with pytest.raises(InvariantError, match=message):
+            PartitionSetSignature.of(s, cases[message])
+    ordered = PartitionSetSignature(s, (a, TwoPartition(s, 0b110000)))
+    assert tree_from_signature(ordered) == tree_from_signature(reversed(ordered.partitions), s)
+
+
 def test_signature_roundtrip_all_trees_small():
     for n in (4, 5, 6):
         s = LabelSet.numbered(n)
