@@ -11,8 +11,9 @@ from __future__ import annotations
 from stablecurves import (
     DistinguishedPartition,
     LabelSet,
-    class_size_oracle,
     classes_by_shape,
+    enumerate_curve_trees,
+    pi_of_tree,
     render_table,
     run_census,
 )
@@ -27,7 +28,8 @@ def main() -> None:
 
     s = LabelSet.numbered(7)
     pi = DistinguishedPartition.of(s, [[1, 2, 3, 4], [5], [6], [7]])
-    print(f"curves in the single class {pi.literal()}: {class_size_oracle(pi)}")
+    curves = sum(1 for t in enumerate_curve_trees(s) if pi_of_tree(t) == pi)
+    print(f"curves in the single class {pi.literal()}: {curves}")
 
     print("\nclasses by shape for n=7:")
     for shape, count in sorted(classes_by_shape(s).items(), reverse=True):

@@ -20,7 +20,6 @@ from collections import Counter
 from itertools import groupby
 
 from .partitions import (
-    DistinguishedPartition,
     LabelSet,
     _Record,
     _check_internal,
@@ -45,7 +44,6 @@ __all__ = [
     "ClassShapeRecord",
     "CensusReport",
     "run_census",
-    "class_size_oracle",
     "classes_by_shape",
     "render_table",
 ]
@@ -103,9 +101,6 @@ def run_census(s: LabelSet, max_n: int | None = None) -> CensusReport:
     Types are sorted by descending curve count, ties broken by type key;
     class records by descending shape.
     """
-    _require_labels(s, 4)
-    _require_bound(s, max_n)
-
     type_counts: Counter[str] = Counter()
     type_rep: dict[str, StableTree] = {}
     type_minus_k: dict[str, int] = {}
@@ -150,30 +145,13 @@ def run_census(s: LabelSet, max_n: int | None = None) -> CensusReport:
         ClassShapeRecord(shape, count, _class_size(shape), *shape_first[shape])
         for shape, count in counts.items()
     )
-
-    total_curves = sum(type_counts.values())
-    _check_internal(
-        total_curves == sum(r.class_count * r.curves_per_class for r in records),
-        "type and class totals disagree",
-    )
     return CensusReport(
         n=s.n,
         types=types,
         classes=records,
-        total_curves=total_curves,
+        total_curves=sum(type_counts.values()),
         total_classes=sum(counts.values()),
     )
-
-
-def class_size_oracle(pi: DistinguishedPartition) -> int:
-    """Number of curve trees in the class of ``pi``, by closed formula.
-
-    Each block with k >= 2 labels contributes the double factorial
-    (2k - 3)!!, the count of rooted trivalent trees on k tails; blocks
-    multiply independently.  The same formula gives the length of
-    :func:`enumerate_curve_trees`.
-    """
-    return _class_size(pi.shape)
 
 
 def classes_by_shape(s: LabelSet, max_n: int | None = None) -> dict[tuple[int, ...], int]:

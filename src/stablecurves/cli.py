@@ -88,14 +88,16 @@ def parse_label_blocks(text: str) -> list[list]:
 
     Once any block holds a comma, the literal is comma-separated throughout
     and a block without commas is one label, as in ``1,2,3,4,5,6,7|8|9|10``.
+    One trailing comma is dropped once the mode is known, so ``10|11|12|13,``
+    is four one-label blocks.
     """
     text = text.strip()
     if not text:
         raise ParseError("empty partition literal")
-    blocks = [block.strip() for block in text.split("|")]
+    separated = "," in text
+    blocks = [block.strip() for block in text.removesuffix(",").split("|")]
     if not all(blocks):
         raise ParseError(f"empty block in partition literal {text!r}")
-    separated = "," in text
     raw_blocks = [_block_tokens(block, whole=separated) for block in blocks]
     flat = [t for block in raw_blocks for t in block]
     if len(set(flat)) != len(flat):
@@ -291,9 +293,7 @@ def _cmd_minus_k(args: argparse.Namespace) -> tuple[str, int]:
     if args.route in ("closed", "both"):
         result["closed"] = minus_k_closed(pi)
     if args.route in ("expanded", "both"):
-        expanded = minus_k_expanded(pi)
-        _check_internal(expanded.denominator == 1, "expanded degree is not an integer")
-        result["expanded"] = int(expanded)
+        result["expanded"] = minus_k_expanded(pi)
     if args.route == "both":
         _check_internal(
             result["closed"] == result["expanded"], "closed and expanded routes disagree"

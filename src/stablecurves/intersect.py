@@ -8,10 +8,9 @@ integers and exact rationals; no floats appear anywhere.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from itertools import permutations
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .partitions import (
     DistinguishedPartition,
@@ -23,13 +22,15 @@ from .partitions import (
     _format_shape,
     _n_masks,
     _p_masks,
-    _require_bound,
     _require_labels,
     bits_of,
     enumerate_distinguished,
     enumerate_stable_two_partitions,
 )
 from .trees import StableTree, pi_of_tree
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "IntersectionMatrix",
@@ -68,14 +69,14 @@ def minus_k_closed(pi: DistinguishedPartition) -> int:
     return 2 - len(_n_masks(pi))
 
 
-def _minus_k_coefficient(n: int, part_b_mask: int) -> Fraction:
-    """Coefficient in the anticanonical class of the divisor with this part b.
+def _minus_k_numerator(n: int, part_b_mask: int) -> int:
+    """Numerator over n - 1 of the anticanonical coefficient of the divisor with this part b.
 
-    A part of j labels gives 2 - j(n - j)/(n - 1); the formula is symmetric
-    in the two parts.
+    A part of j labels gives the coefficient 2 - j(n - j)/(n - 1); the
+    formula is symmetric in the two parts.
     """
     j = part_b_mask.bit_count()
-    return 2 - Fraction(j * (n - j), n - 1)
+    return 2 * (n - 1) - j * (n - j)
 
 
 def minus_k_divisor_coefficients(s: LabelSet, max_n: int | None = None) -> dict[TwoPartition, Fraction]:
@@ -85,27 +86,30 @@ def minus_k_divisor_coefficients(s: LabelSet, max_n: int | None = None) -> dict[
     coefficient 2 - j(n - j)/(n - 1).  Keys follow the canonical
     enumeration order.
     """
-    _require_labels(s, 4)
+    from fractions import Fraction  # the one rational output; kept off the import path
+
     return {
-        sigma: _minus_k_coefficient(s.n, sigma.part_b_mask)
+        sigma: Fraction(_minus_k_numerator(s.n, sigma.part_b_mask), s.n - 1)
         for sigma in enumerate_stable_two_partitions(s, max_n=max_n)
     }
 
 
-def minus_k_expanded(pi_or_tree: DistinguishedPartition | StableTree) -> Fraction:
+def minus_k_expanded(pi_or_tree: DistinguishedPartition | StableTree) -> int:
     """Anticanonical degree recomputed through the divisor expansion.
 
     Sums the coefficient-weighted pairings over the divisors meeting the
     curve class; only those in the P- and N-sets contribute, read as
     part-b masks.  A curve tree is accepted and reduced to its 4-block
-    partition first.  The result is always an integer-valued rational and
-    must match the closed form.
+    partition first.  The sum is over the common denominator n - 1, which
+    must divide it exactly; the result must match the closed form.
     """
     pi = pi_of_tree(pi_or_tree) if isinstance(pi_or_tree, StableTree) else pi_or_tree
     _require_labels(pi.label_set, 5)
     n = pi.label_set.n
-    plus = sum(_minus_k_coefficient(n, b) for b in _p_masks(pi))
-    return plus - sum(_minus_k_coefficient(n, b) for b in _n_masks(pi))
+    plus = sum(_minus_k_numerator(n, b) for b in _p_masks(pi))
+    degree, rest = divmod(plus - sum(_minus_k_numerator(n, b) for b in _n_masks(pi)), n - 1)
+    _check_internal(rest == 0, "expanded degree is not an integer")
+    return degree
 
 
 def k_plus_b_pairing(pi: DistinguishedPartition) -> int:
@@ -178,7 +182,6 @@ def intersection_matrix(s: LabelSet, max_n: int | None = None) -> IntersectionMa
     :func:`matrix_rank` walks the stream.
     """
     _require_labels(s, 5)
-    _require_bound(s, max_n)
     rows = tuple(enumerate_stable_two_partitions(s, max_n=max_n))
     return IntersectionMatrix(s, rows, enumerate_distinguished(s, max_n=max_n))
 

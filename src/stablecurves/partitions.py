@@ -143,14 +143,11 @@ class LabelSet(_Record):
 
     @classmethod
     def of(cls, labels: Iterable) -> "LabelSet":
-        items = list(labels)
-        if len(set(items)) != len(items):
-            raise InvariantError("labels must be pairwise distinct")
         try:
-            items.sort()
+            ordered = tuple(sorted(labels))
         except TypeError as exc:
             raise InvariantError("labels must be mutually comparable") from exc
-        return cls(tuple(items))
+        return cls(ordered)
 
     @classmethod
     def numbered(cls, n: int) -> "LabelSet":
@@ -189,13 +186,14 @@ def format_blocks(label_set: LabelSet, masks: Iterable[int]) -> str:
     """Render blocks in the partition literal grammar.
 
     Blocks are separated by ``|``.  Labels are juxtaposed when every label in
-    the set prints as a single character, and comma-separated otherwise.
+    the set prints as a single character, and comma-separated otherwise.  A
+    comma-separated literal that holds no comma, every block one label, ends
+    in one comma, so that it reads back as comma-separated: ``10|11|12|13,``.
     """
-    compact = all(len(str(t)) == 1 for t in label_set.labels)
-    sep = "" if compact else ","
-    return "|".join(
-        sep.join(str(t) for t in label_set.labels_of(m)) for m in masks
-    )
+    if all(len(str(t)) == 1 for t in label_set.labels):
+        return "|".join("".join(map(str, label_set.labels_of(m))) for m in masks)
+    text = "|".join(",".join(map(str, label_set.labels_of(m))) for m in masks)
+    return text if "," in text else text + ","
 
 
 def _format_shape(shape: Iterable[int]) -> str:
@@ -294,10 +292,7 @@ class DistinguishedPartition(_Record):
 
     @classmethod
     def of(cls, label_set: LabelSet, blocks: Iterable[Iterable]) -> "DistinguishedPartition":
-        masks = sorted((label_set.mask_of(b) for b in blocks), key=_low_bit)
-        if len(masks) != 4:
-            raise InvariantError("need exactly 4 nonempty blocks")
-        return cls(label_set, tuple(masks))
+        return cls(label_set, tuple(sorted((label_set.mask_of(b) for b in blocks), key=_low_bit)))
 
     @property
     def blocks(self) -> tuple:

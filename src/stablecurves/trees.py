@@ -30,7 +30,6 @@ from .partitions import (
     _require_labels,
     _shape_counts,
     bits_of,
-    compatible,
     enumerate_distinguished,
     enumerate_stable_two_partitions,
     partition_sort_key,
@@ -172,7 +171,7 @@ def _check_signature(s: LabelSet, parts: Sequence[TwoPartition]) -> None:
     if keys != sorted(keys):
         raise InvariantError("signature elements must be in the canonical partition order")
     for x, y in combinations(parts, 2):
-        if not compatible(x, y):
+        if not _masks_compatible(x.part_b_mask, y.part_b_mask):
             raise InvariantError(f"incompatible set: {x.literal()} crosses {y.literal()}")
 
 
@@ -181,13 +180,10 @@ def _from_cut_masks(s: LabelSet, masks: Iterable[int]) -> StableTree:
 
     Each mask may describe either side of its cut; sides containing the
     smallest label are flipped.  The caller guarantees the family is
-    laminar with all parts of size 2 to n - 2.
+    laminar with distinct cuts, all parts of size 2 to n - 2.
     """
     full = s.full_mask
-    fam = sorted(m if not m & 1 else full ^ m for m in masks)
-    if len(set(fam)) != len(fam):
-        raise InvariantError("duplicate cut in tree description")
-    return StableTree(s, tuple(fam))
+    return StableTree(s, tuple(sorted(m if not m & 1 else full ^ m for m in masks)))
 
 
 def _intake(
@@ -518,8 +514,6 @@ def enumerate_curve_trees(s: LabelSet, max_n: int | None = None) -> CurveTrees:
     partitions, and builds each class and tree only when iteration reaches
     it.
     """
-    _require_labels(s, 4)
-    _require_bound(s, max_n)
     return CurveTrees(enumerate_distinguished(s, max_n=max_n))
 
 

@@ -6,12 +6,12 @@ or `ACCEPTANCE <k>: FAIL - ...`, and fails the test run on FAIL.
 
 from __future__ import annotations
 
+import math
 import time
 from itertools import combinations
 
 from stablecurves import (
     LabelSet,
-    class_size_oracle,
     compatible,
     enumerate_curve_trees,
     enumerate_distinguished,
@@ -167,7 +167,8 @@ def test_acceptance_7_class_sizes_match_enumeration():
             groups = _classes_of(n)
             assert set(groups) == set(enumerate_distinguished(s))
             for pi, trees in groups.items():
-                assert len(trees) == class_size_oracle(pi)
+                # (2k - 3)!! = 1 * 3 * ... * (2k - 3) rooted trivalent trees per block of k
+                assert len(trees) == math.prod(math.prod(range(2 * len(b) - 3, 0, -2)) for b in pi.blocks)
             totals[n] = sum(len(ts) for ts in groups.values())
         assert totals == {4: 1, 5: 10, 6: 105, 7: 1260, 8: 17325}
 

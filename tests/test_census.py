@@ -20,10 +20,10 @@ from stablecurves import (
     InvariantError,
     LabelSet,
     TypeRecord,
-    class_size_oracle,
     classes_by_shape,
     enumerate_curve_trees,
     enumerate_distinguished,
+    enumerate_trees,
     minus_k_closed,
     pi_of_tree,
     render_table,
@@ -182,16 +182,32 @@ def test_census_rejects_bad_n():
         run_census(LabelSet.numbered(9), max_n=8)
 
 
+def odd_product_class_size(pi):
+    """Curves in the class of ``pi``: 1 * 3 * ... * (2k - 3) for each block of k labels."""
+    return math.prod(math.prod(range(2 * len(b) - 3, 0, -2)) for b in pi.blocks)
+
+
+def brute_class_sizes(s):
+    """Curves per class, counted over the generic stratum enumerator (n <= 7)."""
+    sizes: dict = {}
+    for t in enumerate_trees(s, s.n - 4):
+        pi = pi_of_tree(t)
+        sizes[pi] = sizes.get(pi, 0) + 1
+    return sizes
+
+
 def test_class_size_oracle_examples():
     s6 = LabelSet.numbered(6)
-    assert class_size_oracle(DistinguishedPartition.of(s6, [[1], [2], [3], [4, 5, 6]])) == 3
-    assert class_size_oracle(DistinguishedPartition.of(s6, [[1, 2], [3, 4], [5], [6]])) == 1
     s7 = LabelSet.numbered(7)
-    assert class_size_oracle(DistinguishedPartition.of(s7, [[1, 2, 3, 4], [5], [6], [7]])) == 15
+    examples = [
+        (DistinguishedPartition.of(s6, [[1], [2], [3], [4, 5, 6]]), 3),
+        (DistinguishedPartition.of(s6, [[1, 2], [3, 4], [5], [6]]), 1),
+        (DistinguishedPartition.of(s7, [[1, 2, 3, 4], [5], [6], [7]]), 15),
+    ]
+    for pi, size in examples:
+        assert brute_class_sizes(pi.label_set)[pi] == odd_product_class_size(pi) == size
     s8 = LabelSet.numbered(8)
-    assert (
-        class_size_oracle(DistinguishedPartition.of(s8, [[1, 2, 3, 4, 5], [6], [7], [8]])) == 105
-    )
+    assert odd_product_class_size(DistinguishedPartition.of(s8, [[1, 2, 3, 4, 5], [6], [7], [8]])) == 105
 
 
 def test_class_size_oracle_matches_enumeration():
@@ -201,8 +217,9 @@ def test_class_size_oracle_matches_enumeration():
         for t in enumerate_curve_trees(s):
             pi = pi_of_tree(t)
             per_class[pi] = per_class.get(pi, 0) + 1
+        assert per_class == brute_class_sizes(s)
         for pi in enumerate_distinguished(s):
-            assert per_class[pi] == class_size_oracle(pi)
+            assert per_class[pi] == odd_product_class_size(pi)
 
 
 def traced_peak_mib(fn):
@@ -264,7 +281,7 @@ def census_trees_with(monkeypatch, edit):
 
 
 def first_tree_of_a_larger_class(trees):
-    return next(i for i, t in enumerate(trees) if class_size_oracle(pi_of_tree(t)) > 1)
+    return next(i for i, t in enumerate(trees) if odd_product_class_size(pi_of_tree(t)) > 1)
 
 
 def test_census_rejects_a_short_class(monkeypatch):
@@ -320,10 +337,11 @@ def run_python(*args):
 
 
 def test_census_rejects_a_short_class_under_optimize():
+    # A class holds more than one curve when some block has at least 3 labels.
     script = (
         "from stablecurves import LabelSet, census\n"
         "trees = list(census.enumerate_curve_trees(LabelSet.numbered(6)))\n"
-        "i = next(i for i, t in enumerate(trees) if census.class_size_oracle(census.pi_of_tree(t)) > 1)\n"
+        "i = next(i for i, t in enumerate(trees) if max(census.pi_of_tree(t).shape) >= 3)\n"
         "del trees[i]\n"
         "census.enumerate_curve_trees = lambda s, max_n=None: trees\n"
         "census.run_census(LabelSet.numbered(6))\n"

@@ -18,6 +18,7 @@ from stablecurves import (
     TwoPartition,
     __version__,
     compatible,
+    enumerate_distinguished,
     enumerate_stable_two_partitions,
     forget_and_stabilize,
     signature,
@@ -271,6 +272,28 @@ def test_partition_literals_round_trip_at_two_digit_labels():
             assert parse_two_partition(sigma.literal()) == sigma, sigma.literal()
 
 
+@pytest.mark.parametrize(
+    "labels",
+    [["ab", "cd", "ef", "gh"], range(10, 14), range(1, 5), "abcde", range(8, 13), ["x1", "y", "zz", "w", "v"]],
+    ids=["ab-gh", "10-13", "1-4", "a-e", "8-12", "x1-v"],
+)
+def test_every_partition_literal_reads_back(labels):
+    s = LabelSet.of(labels)
+    for pi in enumerate_distinguished(s):
+        assert parse_distinguished(pi.literal()) == pi, pi.literal()
+    for sigma in enumerate_stable_two_partitions(s):
+        assert parse_two_partition(sigma.literal()) == sigma, sigma.literal()
+
+
+def test_one_label_blocks_of_long_labels_end_in_a_comma(capsys):
+    pi = DistinguishedPartition.of(LabelSet.of(["ab", "cd", "ef", "gh"]), [["ab"], ["cd"], ["ef"], ["gh"]])
+    assert pi.literal() == "ab|cd|ef|gh,"
+    payload = run_json(capsys, "tree", "--action", "pi", "--tree", "[10,11,12,13]")
+    assert payload["result"]["pi"] == "10|11|12|13,"
+    payload = run_json(capsys, "minus-k", "--pi", "10|11|12|13,", "--route", "closed")
+    assert payload["result"] == {"closed": 2}
+
+
 def tree_literal(t):
     vertices = ";".join(
         "[" + ",".join(str(x) for x in t.tails_at(v)) + "]" for v in range(t.n_vertices)
@@ -509,10 +532,11 @@ def test_census_cross_check_fails_under_optimize():
 
 def test_cli_import_loads_no_introspection_modules():
     # Start-up is most of the latency of a small command; these are the
-    # modules ``dataclasses`` pulls in.
+    # modules ``dataclasses`` and ``fractions`` pull in.
     code = "import sys; seen = set(sys.modules); import stablecurves.cli; print(*set(sys.modules) - seen)"
     out = run_python("-c", code)
     assert out.returncode == 0, out.stderr
     loaded = set(out.stdout.decode().split())
     assert "stablecurves.cli" in loaded
-    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+    heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "fractions", "decimal", "numbers"}
+    assert not loaded & heavy

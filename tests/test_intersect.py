@@ -400,6 +400,9 @@ def test_sparse_rank_rejects_a_corrupted_column(monkeypatch):
 
 
 def test_matrix_rank_edge_cases():
+    assert matrix_rank([]) == 0
+    with pytest.raises(InvariantError, match="ragged matrix"):
+        matrix_rank([[1, 0], [1]])
     assert matrix_rank([[0, 0], [0, 0]]) == 0
     assert matrix_rank([[0, 0, 0]]) == 0
     assert matrix_rank([[2, 4], [1, 2]]) == 1

@@ -82,10 +82,23 @@ def as_pair(sigma):
 def test_label_set_sorts_and_rejects_duplicates():
     s = LabelSet.of([3, 1, 2, 5, 4])
     assert s.labels == (1, 2, 3, 4, 5)
-    with pytest.raises(InvariantError):
+    with pytest.raises(InvariantError, match="pairwise distinct"):
         LabelSet.of([1, 1, 2, 3])
-    with pytest.raises(InvariantError):
-        LabelSet.of([1, "a", 2, 3])
+    for build in (lambda: LabelSet.of([1, "a", 2, 3]), lambda: LabelSet((1, "a"))):
+        with pytest.raises(InvariantError, match="mutually comparable"):
+            build()
+    # The sort runs first, so repeated and incomparable labels report the latter.
+    with pytest.raises(InvariantError, match="mutually comparable"):
+        LabelSet.of([1, 1, "a"])
+    with pytest.raises(TypeError, match="unhashable"):
+        LabelSet.of([[1], [2]])
+    for build in (lambda: LabelSet.of([]), lambda: LabelSet(())):
+        with pytest.raises(InvariantError, match="label set is empty"):
+            build()
+    with pytest.raises(InvariantError, match="sorted order"):
+        LabelSet((2, 1))
+    with pytest.raises(InvariantError, match="at least one label"):
+        LabelSet.numbered(0)
 
 
 def test_label_set_masks_roundtrip():
@@ -112,6 +125,9 @@ def test_two_partition_orientation_and_stability():
         TwoPartition.of(s, [6])
     with pytest.raises(InvariantError):
         TwoPartition.of(s, [2, 3, 4, 5, 6])
+    for mask in (0, 0b000011, 0b1000110):  # empty, holding label 1, outside the set
+        with pytest.raises(InvariantError, match="avoiding the smallest label"):
+            TwoPartition(s, mask)
 
 
 @pytest.mark.parametrize("n,count", [(4, 3), (5, 10), (6, 25)])
@@ -165,10 +181,12 @@ def test_distinguished_blocks_are_canonically_ordered():
     pi = DistinguishedPartition.of(s, [[4, 5, 6], [2], [1], [3]])
     assert pi.blocks == ((1,), (2,), (3,), (4, 5, 6))
     assert pi.shape == (3, 1, 1, 1)
-    with pytest.raises(InvariantError):
+    with pytest.raises(InvariantError, match="exactly 4 nonempty blocks"):
         DistinguishedPartition.of(s, [[1], [2], [3, 4, 5, 6]])
-    with pytest.raises(InvariantError):
+    with pytest.raises(InvariantError, match="cover the label set"):
         DistinguishedPartition.of(s, [[1], [2], [3], [4]])
+    with pytest.raises(InvariantError, match="ordered by their smallest label"):
+        DistinguishedPartition(s, (0b10, 0b1, 0b100, 0b111000))
 
 
 @pytest.mark.parametrize("n,count", [(4, 1), (5, 10), (6, 65)])
@@ -336,6 +354,13 @@ def test_reconstruct_rejects_malformed_input():
         reconstruct_from_p([sigma, sigma, sigma])
     with pytest.raises(InvariantError):
         reconstruct_from_p([sigma])
+    other = TwoPartition.of(LabelSet.numbered(6), [1, 2])
+    with pytest.raises(InvariantError, match="mixed label sets"):
+        reconstruct_from_p([sigma, TwoPartition.of(s, [1, 3]), other])
+    # Sorted, 123|45 and 13|245 come first, and their parts {4,5} and {1,3} are disjoint.
+    triple = [TwoPartition.of(s, [1, 2]), TwoPartition.of(s, [1, 2, 3]), TwoPartition.of(s, [1, 3])]
+    with pytest.raises(InvariantError, match="intersection is empty"):
+        reconstruct_from_p(triple)
 
 
 # --------------------------------------------------------- compatibility

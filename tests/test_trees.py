@@ -457,6 +457,10 @@ def test_tree_from_signature_checks_a_constructed_signature():
             PartitionSetSignature.of(s, cases[message])
     ordered = PartitionSetSignature(s, (a, TwoPartition(s, 0b110000)))
     assert tree_from_signature(ordered) == tree_from_signature(reversed(ordered.partitions), s)
+    with pytest.raises(InvariantError, match="signature is over a different label set"):
+        tree_from_signature(ordered, LabelSet.numbered(7))
+    with pytest.raises(InvariantError, match="label set required for an empty signature"):
+        tree_from_signature([])
 
 
 def test_signature_roundtrip_all_trees_small():
