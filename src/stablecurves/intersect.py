@@ -220,39 +220,37 @@ def _keel_relations(m: IntersectionMatrix) -> list[tuple[int, int]]:
     return out
 
 
-def _gf2_insert(pivots: dict[int, int], v: int) -> bool:
-    """Reduce ``v`` over GF(2) against ``pivots``, keyed by highest set bit.
-
-    A nonzero remainder is added as a new pivot and True returned.
-    """
-    while v:
-        top = v.bit_length() - 1
-        pivot = pivots.get(top)
-        if pivot is None:
-            pivots[top] = v
-            return True
-        v ^= pivot
-    return False
-
-
 def _keel_basis(m: IntersectionMatrix) -> list[tuple[int, int]]:
-    """Keel's relations independent over GF(2), hence over the rationals."""
+    """Keel's relations independent over GF(2), hence over the rationals.
+
+    Each relation's support is reduced against the pivots kept so far,
+    keyed by bit length; one that leaves a remainder joins the basis.
+    """
     pivots: dict[int, int] = {}
-    return [rel for rel in _keel_relations(m) if _gf2_insert(pivots, rel[0] | rel[1])]
+    basis = []
+    for rel in _keel_relations(m):
+        v = rel[0] | rel[1]
+        while v.bit_length() in pivots:
+            v ^= pivots[v.bit_length()]
+        if v:
+            pivots[v.bit_length()] = v
+            basis.append(rel)
+    return basis
 
 
 def _rank_bounds(m: IntersectionMatrix) -> tuple[int, int]:
     """A lower and an upper bound on the rational rank of ``m``.
 
-    The lower bound is the rank of the columns over GF(2), which never
-    exceeds the rational rank; columns stop being reduced once it reaches
-    the upper bound.  The upper bound is the row count minus the number of
-    Keel relations independent over GF(2), hence over the rationals; each
-    of them is checked in integers against every column.
+    The lower bound counts the distinct leads of the columns, a column's
+    lead being the largest part-b mask among its nonzero rows.  One column
+    per lead, ordered by lead, is triangular with +1 or -1 on the diagonal,
+    so those columns are independent.  The upper bound is the row count
+    minus the number of Keel relations independent over GF(2), hence over
+    the rationals; each of them is checked in integers against every column.
     """
     basis = _keel_basis(m)
-    upper = len(m.rows) - len(basis)
-    pivots: dict[int, int] = {}
+    masks = [sigma.part_b_mask for sigma in m.rows]
+    leads = set()
     for plus, minus in _columns(m):
         for up, down in basis:
             _check_internal(
@@ -260,27 +258,25 @@ def _rank_bounds(m: IntersectionMatrix) -> tuple[int, int]:
                 == (down & plus).bit_count() + (up & minus).bit_count(),
                 "a Keel relation pairs nonzero with a curve class",
             )
-        if len(pivots) < upper:
-            _gf2_insert(pivots, plus | minus)
-    return len(pivots), upper
+        leads.add(max([masks[r] for r in bits_of(plus | minus)]))
+    return len(leads), len(m.rows) - len(basis)
 
 
 def matrix_rank(m: IntersectionMatrix | Sequence[Sequence[int]]) -> int:
     """Exact rank of an integer matrix.
 
-    An :class:`IntersectionMatrix` is ranked from its sparse columns: the
-    GF(2) rank bounds the rank from below and Keel's relations from above,
-    and when the two meet that is the rank.  Otherwise, and for any plain
-    sequence of rows, Bareiss fraction-free elimination over
-    arbitrary-precision integers gives the rank, scanning columns in order
-    and taking the first nonzero pivot, so the result is deterministic and
-    free of rounding.
+    An :class:`IntersectionMatrix` is ranked from its sparse columns alone:
+    the distinct leads bound the rank from below and Keel's relations from
+    above, and the two must meet, or :class:`InternalCheckError` names
+    both.  A plain sequence of rows is ranked by Bareiss fraction-free
+    elimination over arbitrary-precision integers, scanning columns in
+    order and taking the first nonzero pivot, so the result is
+    deterministic and free of rounding.
     """
     if isinstance(m, IntersectionMatrix):
         lower, upper = _rank_bounds(m)
-        if lower == upper:
-            return lower
-        m = m.entries
+        _check_internal(lower == upper, f"rank bounds differ: {lower} distinct leads, Keel bound {upper}")
+        return lower
     work = [list(r) for r in m]
     if not work:
         return 0

@@ -189,10 +189,15 @@ def format_blocks(label_set: LabelSet, masks: Iterable[int]) -> str:
     the set prints as a single character, and comma-separated otherwise.  A
     comma-separated literal that holds no comma, every block one label, ends
     in one comma, so that it reads back as comma-separated: ``10|11|12|13,``.
+    A label whose text is empty or holds ``|``, ``,`` or whitespace is refused.
     """
-    if all(len(str(t)) == 1 for t in label_set.labels):
-        return "|".join("".join(map(str, label_set.labels_of(m))) for m in masks)
-    text = "|".join(",".join(map(str, label_set.labels_of(m))) for m in masks)
+    texts = [str(t) for t in label_set.labels]
+    for label, t in zip(label_set.labels, texts):
+        if t.split() != [t] or "|" in t or "," in t:
+            raise InvariantError(f"label {label!r} cannot be written in a literal")
+    if all(len(t) == 1 for t in texts):
+        return "|".join("".join(texts[i] for i in bits_of(m)) for m in masks)
+    text = "|".join(",".join(texts[i] for i in bits_of(m)) for m in masks)
     return text if "," in text else text + ","
 
 

@@ -362,11 +362,45 @@ def test_keel_basis_size_is_rows_minus_picard_rank():
         assert len(m.rows) - n * (n - 3) // 2 == picard_rank(n)
 
 
-def test_sparse_rank_falls_back_when_bounds_differ(monkeypatch):
+def column_lead(m, plus, minus):
+    """Largest part-b mask among a column's nonzero rows."""
+    return max(sigma.part_b_mask for r, sigma in enumerate(m.rows) if (plus | minus) >> r & 1)
+
+
+def test_lead_bound_matches_the_rational_oracle_picard_and_keel():
+    for n in range(5, 11):
+        m = intersection_matrix(LabelSet.numbered(n))
+        lower, upper = intersect._rank_bounds(m)
+        assert lower == upper == picard_rank(n)
+        if n <= 7:
+            assert lower == rank_by_rational_elimination(m.entries)
+            assert lower == len({column_lead(m, *col) for col in intersect._columns(m)})
+
+
+def test_sparse_rank_refuses_when_bounds_differ(monkeypatch):
     monkeypatch.setattr(intersect, "_rank_bounds", lambda m: (0, len(m.rows)))
     m = intersection_matrix(LabelSet.numbered(6))
-    assert matrix_rank(m) == picard_rank(6)
-    assert "entries" in vars(m)
+    with pytest.raises(InternalCheckError, match="^rank bounds differ: 0 distinct leads, Keel bound 25$"):
+        matrix_rank(m)
+    assert "entries" not in vars(m)
+
+
+def test_sparse_rank_refuses_when_a_lead_goes_missing(monkeypatch):
+    columns = intersect._columns
+
+    def without_one_lead(m):
+        dropped = None
+        for plus, minus in columns(m):
+            lead = column_lead(m, plus, minus)
+            dropped = lead if dropped is None else dropped
+            if lead != dropped:
+                yield plus, minus
+
+    monkeypatch.setattr(intersect, "_columns", without_one_lead)
+    m = intersection_matrix(LabelSet.numbered(6))
+    with pytest.raises(InternalCheckError, match="^rank bounds differ: 15 distinct leads, Keel bound 16$"):
+        matrix_rank(m)
+    assert "entries" not in vars(m)
 
 
 def test_sparse_rank_rejects_a_corrupted_relation(monkeypatch):

@@ -6,6 +6,7 @@ raw subset enumeration, independent of the bitmask implementation.
 
 from __future__ import annotations
 
+import re
 import time
 from collections.abc import Sequence
 from itertools import combinations
@@ -187,6 +188,18 @@ def test_distinguished_blocks_are_canonically_ordered():
         DistinguishedPartition.of(s, [[1], [2], [3], [4]])
     with pytest.raises(InvariantError, match="ordered by their smallest label"):
         DistinguishedPartition(s, (0b10, 0b1, 0b100, 0b111000))
+
+
+@pytest.mark.parametrize("bad", ["a,b", "a|b", "a b", "\t", ""])
+def test_literals_refuse_labels_that_would_not_read_back(bad):
+    s = LabelSet.of([bad, "c", "d", "e"])
+    refusal = f"^label {re.escape(repr(bad))} cannot be written in a literal$"
+    for partition in (
+        DistinguishedPartition.of(s, [[bad], ["c"], ["d"], ["e"]]),
+        TwoPartition.of(s, [bad, "c"]),
+    ):
+        with pytest.raises(InvariantError, match=refusal):
+            partition.literal()
 
 
 @pytest.mark.parametrize("n,count", [(4, 1), (5, 10), (6, 65)])

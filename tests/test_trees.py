@@ -20,6 +20,7 @@ from stablecurves import (
     InvariantError,
     LabelSet,
     PartitionSetSignature,
+    StableTree,
     TwoPartition,
     compatible,
     contract_edge,
@@ -592,6 +593,15 @@ def test_exceptional_vertex_rejects_wrong_codimension():
     for reading in (exceptional_vertex, pi_of_tree):
         with pytest.raises(InvariantError, match="^operation needs at least 4 labels, got 3$"):
             reading(tripod)
+
+
+def test_curve_tree_readings_refuse_crossing_cuts():
+    # Built straight from the constructor, past the intake: the cuts {3, 4}
+    # and {4, 5} cross, so the derived layout has no unique 4-flag vertex.
+    t = StableTree(LabelSet.numbered(6), (12, 24))
+    for reading in (exceptional_vertex, pi_of_tree):
+        with pytest.raises(InvariantError, match="^not a curve tree: no unique 4-flag vertex$"):
+            reading(t)
 
 
 def test_curve_tree_readings_match_the_raw_description():
