@@ -57,11 +57,11 @@ class ParseError(ValueError):
     """Raised when a command line literal cannot be parsed."""
 
 
-def _normalize_tokens(raw: list[str]) -> list:
-    """Numeric-looking tokens become ints when every token is numeric."""
-    if all(t.isdigit() for t in raw):
-        return [int(t) for t in raw]
-    return list(raw)
+def _normalize_groups(groups: list[list[str]]) -> list[list]:
+    """Groups of raw tokens, the tokens made ints when every one is numeric."""
+    if all(t.isdigit() for group in groups for t in group):
+        return [[int(t) for t in group] for group in groups]
+    return groups
 
 
 def _block_tokens(block: str, whole: bool = False) -> list[str]:
@@ -103,24 +103,24 @@ def parse_label_blocks(text: str) -> list[list]:
     if len(set(flat)) != len(flat):
         dup = next(t for t in flat if flat.count(t) > 1)
         raise ParseError(f"label {dup!r} appears more than once")
-    normalized = _normalize_tokens(flat)
-    it = iter(normalized)
-    return [[next(it) for _ in block] for block in raw_blocks]
+    return _normalize_groups(raw_blocks)
+
+
+def _counted_blocks(text: str, count: int, kind: str) -> tuple[LabelSet, list[list]]:
+    """The label set and blocks of a literal that must have ``count`` blocks."""
+    blocks = parse_label_blocks(text)
+    if len(blocks) != count:
+        raise ParseError(f"a {kind} literal needs exactly {count} blocks, got {len(blocks)}")
+    return LabelSet.of([t for b in blocks for t in b]), blocks
 
 
 def parse_two_partition(text: str) -> TwoPartition:
-    blocks = parse_label_blocks(text)
-    if len(blocks) != 2:
-        raise ParseError(f"a 2-partition literal needs exactly 2 blocks, got {len(blocks)}")
-    s = LabelSet.of([t for b in blocks for t in b])
+    s, blocks = _counted_blocks(text, 2, "2-partition")
     return TwoPartition.of(s, blocks[0])
 
 
 def parse_distinguished(text: str) -> DistinguishedPartition:
-    blocks = parse_label_blocks(text)
-    if len(blocks) != 4:
-        raise ParseError(f"a 4-block partition literal needs exactly 4 blocks, got {len(blocks)}")
-    s = LabelSet.of([t for b in blocks for t in b])
+    s, blocks = _counted_blocks(text, 4, "4-block partition")
     return DistinguishedPartition.of(s, blocks)
 
 
@@ -142,10 +142,7 @@ def parse_tree_literal(text: str) -> tuple[list[list], list[tuple[int, int]], La
         if not (chunk.startswith("[") and chunk.endswith("]")):
             raise ParseError(f"vertex {chunk!r} is not bracketed")
         vertex_tails.append(_block_tokens(chunk[1:-1].strip(), whole=separated))
-    flat = [t for ts in vertex_tails for t in ts]
-    normalized = _normalize_tokens(flat)
-    it = iter(normalized)
-    tails = [[next(it) for _ in ts] for ts in vertex_tails]
+    tails = _normalize_groups(vertex_tails)
     edges: list[tuple[int, int]] = []
     if edge_part.strip():
         for chunk in edge_part.split(","):
@@ -244,28 +241,27 @@ def _census_tsv(report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _resolve_max_n(args: argparse.Namespace) -> int:
-    if getattr(args, "max_n", None) is not None:
-        return args.max_n
-    raw = os.environ.get(ENV_MAX_N)
-    if raw is not None:
+def _admit_n(args: argparse.Namespace, minimum: int) -> int:
+    """Admit ``--n`` from ``minimum`` up to the bound, and return the bound.
+
+    The bound is ``--max-n``, else ``STABLECURVES_MAX_N``, else the default.
+    """
+    bound = args.max_n
+    if bound is None:
+        raw = os.environ.get(ENV_MAX_N, str(DEFAULT_MAX_N))
         try:
-            return int(raw)
+            bound = int(raw)
         except ValueError:
             raise ParseError(f"{ENV_MAX_N} must be an integer, got {raw!r}") from None
-    return DEFAULT_MAX_N
-
-
-def _check_n(n: int, minimum: int, bound: int) -> None:
-    if n < minimum:
-        raise ParseError(f"--n must be at least {minimum}, got {n}")
-    if n > bound:
-        raise ParseError(f"--n {n} exceeds the bound {bound}; raise --max-n to allow it")
+    if args.n < minimum:
+        raise ParseError(f"--n must be at least {minimum}, got {args.n}")
+    if args.n > bound:
+        raise ParseError(f"--n {args.n} exceeds the bound {bound}; raise --max-n to allow it")
+    return bound
 
 
 def _cmd_census(args: argparse.Namespace) -> tuple[str, int]:
-    bound = _resolve_max_n(args)
-    _check_n(args.n, 4, bound)
+    bound = _admit_n(args, 4)
     report = run_census(LabelSet.numbered(args.n), max_n=bound)
     if args.format == "tsv":
         return _census_tsv(report), EXIT_OK
@@ -306,8 +302,7 @@ def _cmd_minus_k(args: argparse.Namespace) -> tuple[str, int]:
 def _cmd_matrix(args: argparse.Namespace) -> tuple[str, int]:
     if args.action == "rank" and args.format == "tsv":
         raise ParseError("--format tsv applies to --action emit only")
-    bound = _resolve_max_n(args)
-    _check_n(args.n, 5, bound)
+    bound = _admit_n(args, 5)
     m = intersection_matrix(LabelSet.numbered(args.n), max_n=bound)
     if args.action == "emit":
         if args.format == "tsv":

@@ -244,9 +244,13 @@ def _rank_bounds(m: IntersectionMatrix) -> tuple[int, int]:
     The lower bound counts the distinct leads of the columns, a column's
     lead being the largest part-b mask among its nonzero rows.  One column
     per lead, ordered by lead, is triangular with +1 or -1 on the diagonal,
-    so those columns are independent.  The upper bound is the row count
-    minus the number of Keel relations independent over GF(2), hence over
-    the rationals; each of them is checked in integers against every column.
+    so those columns are independent.  Leads are compared as masks, not as
+    row indices: the rows are sorted by part size first, so by index no
+    column leads with the pair row {n - 1, n}, and the count falls one short
+    of the Picard rank (465 against 466 at n = 10).  The upper bound is the
+    row count minus the number of Keel relations independent over GF(2),
+    hence over the rationals; each of them is checked in integers against
+    every column.
     """
     basis = _keel_basis(m)
     masks = [sigma.part_b_mask for sigma in m.rows]

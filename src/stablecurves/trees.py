@@ -441,22 +441,24 @@ def _local_binary_families(k: int) -> tuple[tuple[int, ...], ...]:
 
     One memo entry per block size serves every block of k labels.  The
     root splits the tails into the side holding tail 0 and the other side,
-    which runs over the submasks of tails 1..k-1 in ascending order.
+    which runs over the submasks of tails 1..k-1 in ascending order, and
+    each side hangs below the root as :func:`_hanging` says.
     """
-    if k == 2:
-        return ((),)
     full = (1 << k) - 1
-    fams: list[tuple[int, ...]] = []
-    for b in range(2, full, 2):  # the nonempty submasks of tails 1..k-1, ascending
-        a = full ^ b
-        fa = _rooted_binary_families(a) if a.bit_count() >= 2 else ((),)
-        fb = _rooted_binary_families(b) if b.bit_count() >= 2 else ((),)
-        for x in fa:
-            xa = ((a,) + x) if a.bit_count() >= 2 else ()
-            for y in fb:
-                yb = ((b,) + y) if b.bit_count() >= 2 else ()
-                fams.append(xa + yb)
-    return tuple(fams)
+    return tuple(
+        x + y for b in range(2, full, 2) for x in _hanging(full ^ b) for y in _hanging(b)
+    )
+
+
+def _hanging(mask: int) -> tuple[tuple[int, ...], ...]:
+    """The ways the labels of ``mask`` hang below an edge, each as its cuts.
+
+    A side of at least two labels hangs by its own cut, followed by a rooted
+    trivalent family on its labels; a single label hangs with no cut.
+    """
+    if mask & (mask - 1):
+        return tuple((mask,) + fam for fam in _rooted_binary_families(mask))
+    return ((),)
 
 
 def _class_size(shape: Iterable[int]) -> int:
@@ -471,13 +473,8 @@ def _class_size(shape: Iterable[int]) -> int:
 
 def _curve_trees_in_class(pi: DistinguishedPartition) -> Iterator[StableTree]:
     """Every curve tree whose 4-flag vertex reads off ``pi``, one at a time."""
-    s = pi.label_set
-    options = []
-    for block in pi.block_masks:
-        if block.bit_count() >= 2:
-            options.append([(block,) + fam for fam in _rooted_binary_families(block)])
-    for chosen in product(*options):
-        yield _from_cut_masks(s, [m for group in chosen for m in group])
+    for chosen in product(*map(_hanging, pi.block_masks)):
+        yield _from_cut_masks(pi.label_set, [m for group in chosen for m in group])
 
 
 class CurveTrees(_LazySequence):

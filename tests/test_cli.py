@@ -488,6 +488,44 @@ def test_tree_parse_error_on_bad_edge(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (("pair", "--sigma", "12|3456", "--pi", "1,,2|3|4|5"), 2, "empty label token in block '1,,2'"),
+        (("pair", "--sigma", "12|3456", "--pi", " "), 2, "empty partition literal"),
+        (("minus-k", "--pi", "1|1|2|3"), 2, "label '1' appears more than once"),
+        (
+            ("pair", "--sigma", "12|34|56", "--pi", "1|2|3|456"),
+            2,
+            "a 2-partition literal needs exactly 2 blocks, got 3",
+        ),
+        (("minus-k", "--pi", "1|2|3"), 2, "a 4-block partition literal needs exactly 4 blocks, got 3"),
+        (
+            ("tree", "--action", "contract", "--tree", "[1,2];[3];[4,5]/0-1,1-2", "--edge", "a-b"),
+            2,
+            "edge 'a-b' must name two vertex indices",
+        ),
+        (
+            ("tree", "--action", "forget", "--tree", "[1,2];[3,4,5]/0-1", "--forget-set", "x"),
+            2,
+            "forget set 'x' must use the tree's numeric labels",
+        ),
+        (
+            ("tree", "--action", "forget", "--tree", "[1,2];[3,4,5]/0-1"),
+            2,
+            "--forget-set is required for the forget action",
+        ),
+        (
+            ("tree", "--action", "signature", "--tree", "[1];[2]/0-1"),
+            3,
+            "unstable vertex 0: only 2 flags; unstable vertex 1: only 2 flags",
+        ),
+    ],
+)
+def test_refusals_exit_with_one_message(capsys, argv, code, message):
+    assert run(capsys, *argv) == (code, "", f"stablecurves: {message}\n")
+
+
 def test_usage_error_without_command():
     with pytest.raises(SystemExit) as exc:
         main([])

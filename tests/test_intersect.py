@@ -377,6 +377,40 @@ def test_lead_bound_matches_the_rational_oracle_picard_and_keel():
             assert lower == len({column_lead(m, *col) for col in intersect._columns(m)})
 
 
+def lead_classes(s):
+    """One class per lead row, built from the row alone, as (row, class) pairs.
+
+    A row whose part b holds at least 3 labels leads A | x | y | b - {x, y},
+    with x, y the two smallest labels of b and A the other part.  Of the
+    pair rows only {n - 1, n} leads, by the class 1 | 2..n-2 | n-1 | n.
+    """
+    n = s.n
+    out = []
+    for sigma in enumerate_stable_two_partitions(s):
+        b = sigma.part_b
+        if len(b) >= 3:
+            blocks = [sigma.part_a, b[:1], b[1:2], b[2:]]
+        elif b == (n - 1, n):
+            blocks = [[1], range(2, n - 1), [n - 1], [n]]
+        else:
+            continue
+        out.append((sigma, DistinguishedPartition.of(s, blocks)))
+    return out
+
+
+def test_lead_classes_give_the_lead_bound():
+    for n in range(5, 11):
+        s = LabelSet.numbered(n)
+        pairs = lead_classes(s)
+        for sigma, pi in pairs:
+            members = intersect._p_masks(pi) + intersect._n_masks(pi)
+            assert max(members) == sigma.part_b_mask, (sigma.literal(), pi.literal())
+        leads = {sigma.part_b_mask for sigma, _ in pairs}
+        assert len(leads) == len(pairs)
+        lower, _ = intersect._rank_bounds(intersection_matrix(s))
+        assert len(leads) == lower == picard_rank(n)
+
+
 def test_sparse_rank_refuses_when_bounds_differ(monkeypatch):
     monkeypatch.setattr(intersect, "_rank_bounds", lambda m: (0, len(m.rows)))
     m = intersection_matrix(LabelSet.numbered(6))

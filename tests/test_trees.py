@@ -416,6 +416,8 @@ def test_tree_from_signature_chain():
     sig = [TwoPartition.of(s, [4, 5, 6]), TwoPartition.of(s, [5, 6])]
     t = tree_from_signature(sig, s)
     assert t.n_vertices == 3
+    assert tree_from_signature(sig) == t  # the label set read off the first element
+    assert t.cuts == (48, 56)
     middle = [v for v in range(3) if len(t.tails_at(v)) == 1]
     assert [t.tails_at(v) for v in middle] == [(4,)]
 
