@@ -4,21 +4,39 @@ The package models boundary strata through stable dual trees, pairs
 boundary divisors against one-dimensional boundary classes, and runs a
 complete census of boundary curves, all in exact integer and rational
 arithmetic.
-"""
 
-from . import census, intersect, partitions, trees
-from .partitions import *  # noqa: F401,F403
-from .trees import *  # noqa: F401,F403
-from .intersect import *  # noqa: F401,F403
-from .census import *  # noqa: F401,F403
+Every public name of the four layers is a package attribute, loaded on
+first use (PEP 562): importing the package imports none of the layers.
+"""
 
 __version__ = "0.1.0"
 
-# Every public name of the four layers, each listed once, in its own module.
-__all__ = [
-    *partitions.__all__,
-    *trees.__all__,
-    *intersect.__all__,
-    *census.__all__,
-    "__version__",
-]
+# Each layer lists its public names once, in its own ``__all__``; a name is
+# looked up in these layers in this order, and a layer is imported only
+# when the lookup reaches it.
+_LAYERS = ("partitions", "trees", "intersect", "census")
+
+
+def __getattr__(name: str):
+    from importlib import import_module
+
+    if name in _LAYERS:
+        return import_module(f"{__name__}.{name}")
+    if name.startswith("__") and name != "__all__":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    names = []
+    for layer in _LAYERS:
+        module = import_module(f"{__name__}.{layer}")
+        if name in module.__all__:
+            globals()[name] = value = getattr(module, name)
+            return value
+        names += module.__all__
+    if name == "__all__":
+        globals()[name] = value = [*names, "__version__"]
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    public = globals().get("__all__") or __getattr__("__all__")
+    return sorted({*globals(), *public})

@@ -520,10 +520,30 @@ def test_tree_parse_error_on_bad_edge(capsys):
             3,
             "unstable vertex 0: only 2 flags; unstable vertex 1: only 2 flags",
         ),
+        # ``²`` is a digit to ``str.isdigit`` but no number to ``int``, so
+        # these labels stay strings, through every literal route.
+        (("minus-k", "--pi", "1|2|3|²"), 3, "operation needs at least 5 labels, got 4"),
+        (
+            ("pair", "--sigma", "12|3²", "--pi", "1|2|3|²"),
+            3,
+            "operation needs at least 5 labels, got 4",
+        ),
+        (
+            ("tree", "--action", "pi", "--tree", "[1,2];[3,²]/0-1"),
+            3,
+            "not a curve tree: expected 0 edges, got 1",
+        ),
     ],
 )
 def test_refusals_exit_with_one_message(capsys, argv, code, message):
     assert run(capsys, *argv) == (code, "", f"stablecurves: {message}\n")
+
+
+def test_labels_int_cannot_read_stay_strings(capsys):
+    payload = run_json(capsys, "minus-k", "--pi", "1|2|3|²5")
+    assert payload["result"] == {"closed": 1, "expanded": 1, "equal": True}
+    payload = run_json(capsys, "tree", "--action", "signature", "--tree", "[1,2];[3,²,5]/0-1")
+    assert payload["result"]["signature"] == ["12|35²"]
 
 
 def test_usage_error_without_command():
@@ -568,13 +588,81 @@ def test_census_cross_check_fails_under_optimize():
     assert b"type mixes degrees" in done.stderr
 
 
+# Prints, at exit, the modules loaded after this line, as one stderr line.
+LOADED = (
+    "import atexit, runpy, sys; seen = set(sys.modules); "
+    "atexit.register(lambda: print(*sorted(set(sys.modules) - seen), file=sys.stderr)); "
+)
+MAIN = "runpy.run_module('stablecurves', run_name='__main__')"
+
+# (code, arguments, the package's modules it loads besides the package).
+CLI = {"cli", "partitions"}
+PAIRINGS = {*CLI, "trees", "intersect"}
+ENTRY_POINTS = [
+    ("import stablecurves", [], set()),
+    ("import stablecurves.cli", [], CLI),
+    (MAIN, ["--version"], CLI),
+    (MAIN, ["--help"], CLI),
+    (MAIN, ["tree", "--action", "pi", "--tree", "[1,2];[3,4,5]/0-1"], {*CLI, "trees"}),
+    (MAIN, ["pair", "--sigma", "12|345", "--pi", "1|2|3|45"], PAIRINGS),
+    (MAIN, ["minus-k", "--pi", "1|2|3|45"], PAIRINGS),
+    (MAIN, ["matrix", "--n", "5"], PAIRINGS),
+    (MAIN, ["census", "--n", "5"], {*PAIRINGS, "census"}),
+]
+
+
 def test_cli_import_loads_no_introspection_modules():
-    # Start-up is most of the latency of a small command; these are the
-    # modules ``dataclasses`` and ``fractions`` pull in.
-    code = "import sys; seen = set(sys.modules); import stablecurves.cli; print(*set(sys.modules) - seen)"
+    # Start-up is most of the latency of a small command: each entry point
+    # compiles only the layers it calls, and none loads the modules that
+    # ``dataclasses`` and ``fractions`` pull in.
+    heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "fractions", "decimal", "numbers"}
+    for code, argv, layers in ENTRY_POINTS:
+        out = run_python("-c", LOADED + code, *argv)
+        assert out.returncode == 0, out.stderr
+        loaded = set(out.stderr.decode().splitlines()[-1].split())
+        package = {m for m in loaded if m.startswith("stablecurves")}
+        assert package == {"stablecurves", *(f"stablecurves.{m}" for m in layers)}, argv
+        assert not loaded & heavy, argv
+
+
+def fresh(code: str):
+    """The JSON value that ``code`` prints in a fresh interpreter."""
     out = run_python("-c", code)
     assert out.returncode == 0, out.stderr
-    loaded = set(out.stdout.decode().split())
-    assert "stablecurves.cli" in loaded
-    heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "fractions", "decimal", "numbers"}
-    assert not loaded & heavy
+    return json.loads(out.stdout)
+
+
+def test_star_import_binds_each_layer_name_once():
+    got = fresh(
+        "import json\n"
+        "from stablecurves import *\n"
+        "import stablecurves as pkg\n"
+        "layers = (pkg.partitions, pkg.trees, pkg.intersect, pkg.census)\n"
+        "names = [n for m in layers for n in m.__all__]\n"
+        "same = all(globals()[n] is getattr(m, n) for m in layers for n in m.__all__)\n"
+        "print(json.dumps([pkg.__all__ == [*names, '__version__'], len(pkg.__all__), same]))\n"
+    )
+    assert got == [True, 48, True]
+
+
+def test_package_attributes_load_on_first_use():
+    got = fresh(
+        "import json, sys\n"
+        "import stablecurves as pkg\n"
+        "layers = lambda: sorted(m for m in sys.modules if m.startswith('stablecurves.'))\n"
+        "at_import = layers()\n"
+        "wrapped = hasattr(pkg, '__wrapped__')\n"
+        "after_dunder = layers()\n"
+        "try:\n"
+        "    pkg.nope\n"
+        "except AttributeError as exc:\n"
+        "    missing = str(exc)\n"
+        "print(json.dumps([at_import, wrapped, after_dunder, missing, '__all__' in dir(pkg)]))\n"
+    )
+    assert got == [[], False, [], "module 'stablecurves' has no attribute 'nope'", True]
+
+
+def test_one_version():
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == __version__
