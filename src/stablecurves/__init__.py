@@ -13,16 +13,18 @@ __version__ = "0.1.0"
 
 # Each layer lists its public names once, in its own ``__all__``; a name is
 # looked up in these layers in this order, and a layer is imported only
-# when the lookup reaches it.
+# when the lookup reaches it.  ``from stablecurves import cli`` asks for the
+# other submodule as an attribute first, so it is named here too.
 _LAYERS = ("partitions", "trees", "intersect", "census")
 
 
 def __getattr__(name: str):
     from importlib import import_module
 
-    if name in _LAYERS:
+    if name in _LAYERS or name == "cli":
         return import_module(f"{__name__}.{name}")
-    if name.startswith("__") and name != "__all__":
+    # No layer exports a private name, so these import nothing.
+    if name.startswith("_") and name != "__all__":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     names = []
     for layer in _LAYERS:

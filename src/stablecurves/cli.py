@@ -39,8 +39,8 @@ class ParseError(ValueError):
     """Raised when a command line literal cannot be parsed."""
 
 
-# Each command imports the layers it calls.  The tracer in bench/spans.py
-# patches these three names on this module, so they stay module-level
+# Each command imports the layers it calls.  bench/spans.py patches these
+# three forwarders, which keep their targets' parameters, on this module
 # until the trace hooks of ROADMAP item 5 let them go.
 def run_census(s, max_n=None):
     from .census import run_census

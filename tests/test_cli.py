@@ -601,6 +601,7 @@ PAIRINGS = {*CLI, "trees", "intersect"}
 ENTRY_POINTS = [
     ("import stablecurves", [], set()),
     ("import stablecurves.cli", [], CLI),
+    ("from stablecurves import cli", [], CLI),
     (MAIN, ["--version"], CLI),
     (MAIN, ["--help"], CLI),
     (MAIN, ["tree", "--action", "pi", "--tree", "[1,2];[3,4,5]/0-1"], {*CLI, "trees"}),
@@ -651,7 +652,7 @@ def test_package_attributes_load_on_first_use():
         "import stablecurves as pkg\n"
         "layers = lambda: sorted(m for m in sys.modules if m.startswith('stablecurves.'))\n"
         "at_import = layers()\n"
-        "wrapped = hasattr(pkg, '__wrapped__')\n"
+        "wrapped = hasattr(pkg, '__wrapped__') or hasattr(pkg, '_private')\n"
         "after_dunder = layers()\n"
         "try:\n"
         "    pkg.nope\n"
@@ -660,6 +661,24 @@ def test_package_attributes_load_on_first_use():
         "print(json.dumps([at_import, wrapped, after_dunder, missing, '__all__' in dir(pkg)]))\n"
     )
     assert got == [[], False, [], "module 'stablecurves' has no attribute 'nope'", True]
+
+
+def test_cli_forwarders_match_their_layer_functions():
+    # ``cli.run_census``, ``cli.intersection_matrix`` and ``cli.matrix_rank``
+    # only forward to the layer functions of the same names.
+    import inspect
+
+    from stablecurves import census, cli, intersect
+
+    def parameters(fn):
+        return [(p.name, p.kind, p.default) for p in inspect.signature(fn).parameters.values()]
+
+    for layer, name in [
+        (census, "run_census"),
+        (intersect, "intersection_matrix"),
+        (intersect, "matrix_rank"),
+    ]:
+        assert parameters(getattr(cli, name)) == parameters(getattr(layer, name)), name
 
 
 def test_one_version():
