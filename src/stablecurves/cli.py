@@ -283,8 +283,6 @@ def _cmd_pair(args: argparse.Namespace) -> tuple[str, int]:
 
     sigma = parse_two_partition(args.sigma)
     pi = parse_distinguished(args.pi)
-    if sigma.label_set != pi.label_set:
-        raise InvariantError("sigma and pi must use the same labels")
     value = pair_divisor_curve(sigma, pi)
     kind = {1: "P-member", -1: "N-member", 0: "neither"}[value]
     parameters = {"sigma": args.sigma, "pi": args.pi}

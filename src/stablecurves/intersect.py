@@ -8,9 +8,8 @@ integers and exact rationals; no floats appear anywhere.
 
 from __future__ import annotations
 
-from functools import cached_property
-from itertools import permutations
-from typing import TYPE_CHECKING, Iterator, Sequence
+from functools import cached_property, partial
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .partitions import (
     DistinguishedPartition,
@@ -23,7 +22,6 @@ from .partitions import (
     _n_masks,
     _p_masks,
     _require_labels,
-    bits_of,
     enumerate_distinguished,
     enumerate_stable_two_partitions,
 )
@@ -52,13 +50,25 @@ def pair_divisor_curve(sigma: TwoPartition, pi: DistinguishedPartition) -> int:
     Returns +1 on the P-set of pi, -1 on its N-set, and 0 otherwise.
     """
     if sigma.label_set != pi.label_set:
-        raise InvariantError("mismatched label sets")
+        raise InvariantError("sigma and pi must use the same labels")
     _require_labels(sigma.label_set, 5)
     if sigma.part_b_mask in _p_masks(pi):
         return 1
     if sigma.part_b_mask in _n_masks(pi):
         return -1
     return 0
+
+
+def _degree(coefficient: Callable[[int], int], denominator: int, pi: DistinguishedPartition) -> int:
+    """Degree on the class of ``pi`` of the divisors weighted ``coefficient(b) / denominator`` by part b.
+
+    Only the P-set (pairing +1) and the N-set (pairing -1) meet the curve, so
+    the degree is the P-set sum minus the N-set sum, divided exactly.
+    """
+    total = sum(map(coefficient, _p_masks(pi))) - sum(map(coefficient, _n_masks(pi)))
+    degree, rest = divmod(total, denominator)
+    _check_internal(rest == 0, "expanded degree is not an integer")
+    return degree
 
 
 def minus_k_closed(pi: DistinguishedPartition) -> int:
@@ -97,19 +107,14 @@ def minus_k_divisor_coefficients(s: LabelSet, max_n: int | None = None) -> dict[
 def minus_k_expanded(pi_or_tree: DistinguishedPartition | StableTree) -> int:
     """Anticanonical degree recomputed through the divisor expansion.
 
-    Sums the coefficient-weighted pairings over the divisors meeting the
-    curve class; only those in the P- and N-sets contribute, read as
-    part-b masks.  A curve tree is accepted and reduced to its 4-block
-    partition first.  The sum is over the common denominator n - 1, which
-    must divide it exactly; the result must match the closed form.
+    Sums the coefficients 2 - j(n - j)/(n - 1) over the divisors meeting
+    the curve class, by :func:`_degree`.  A curve tree is accepted and
+    reduced to its 4-block partition first.
     """
     pi = pi_of_tree(pi_or_tree) if isinstance(pi_or_tree, StableTree) else pi_or_tree
     _require_labels(pi.label_set, 5)
     n = pi.label_set.n
-    plus = sum(_minus_k_numerator(n, b) for b in _p_masks(pi))
-    degree, rest = divmod(plus - sum(_minus_k_numerator(n, b) for b in _n_masks(pi)), n - 1)
-    _check_internal(rest == 0, "expanded degree is not an integer")
-    return degree
+    return _degree(lambda b: _minus_k_numerator(n, b), n - 1, pi)
 
 
 def k_plus_b_pairing(pi: DistinguishedPartition) -> int:
@@ -119,7 +124,7 @@ def k_plus_b_pairing(pi: DistinguishedPartition) -> int:
     divisor is enumerated and no enumeration bound applies.
     """
     _require_labels(pi.label_set, 5)
-    return len(_p_masks(pi)) - len(_n_masks(pi)) - minus_k_closed(pi)
+    return _degree(lambda b: 1, 1, pi) - minus_k_closed(pi)
 
 
 def picard_rank(n: int) -> int:
@@ -148,11 +153,12 @@ class IntersectionMatrix(_Record):
         """Every cell, row by row: +1 on P-members, -1 on N-members, else 0."""
         width = len(self.cols)
         cells = memoryview(bytearray(len(self.rows) * width)).cast("b")
-        for c, (plus, minus) in enumerate(_columns(self)):
-            for r in bits_of(plus):
-                cells[r * width + c] = 1
-            for r in bits_of(minus):
-                cells[r * width + c] = -1
+        start = {sigma.part_b_mask: r * width for r, sigma in enumerate(self.rows)}
+        for c, pi in enumerate(self.cols):
+            for b in _p_masks(pi):
+                cells[start[b] + c] = 1
+            for b in _n_masks(pi):
+                cells[start[b] + c] = -1
         return tuple(tuple(cells[i : i + width]) for i in range(0, len(cells), width))
 
     def to_tsv(self) -> str:
@@ -178,100 +184,93 @@ def intersection_matrix(s: LabelSet, max_n: int | None = None) -> IntersectionMa
 
     Enumerates the rows; the columns stay a lazy stream, so no column
     object and no cell is held here.  Each column holds +1 on its P-members
-    and -1 on its N-members, read off its blocks when ``entries`` or
-    :func:`matrix_rank` walks the stream.
+    and -1 on its N-members, read off its blocks when ``entries`` walks the
+    stream.
     """
     _require_labels(s, 5)
     rows = tuple(enumerate_stable_two_partitions(s, max_n=max_n))
     return IntersectionMatrix(s, rows, enumerate_distinguished(s, max_n=max_n))
 
 
-def _columns(m: IntersectionMatrix) -> Iterator[tuple[int, int]]:
-    """Each column as its P-rows and N-rows, int bitsets over row indices."""
-    bit = {sigma.part_b_mask: 1 << r for r, sigma in enumerate(m.rows)}
-    for pi in m.cols:
-        plus = minus = 0
-        for b in _p_masks(pi):
-            plus |= bit[b]
-        for b in _n_masks(pi):
-            minus |= bit[b]
-        yield plus, minus
+def _keel(k: int, l: int, b: int) -> int:
+    """Coefficient of the divisor with part b in Keel's relation R(1, 2, k, l).
 
-
-def _keel_relations(m: IntersectionMatrix) -> list[tuple[int, int]]:
-    """Keel's relations R(1, 2, k, l) as (+rows, -rows) bitsets.
-
-    With 1, 2 the two smallest labels and k != l any two others, the
-    divisors separating {1, 2} from {k, l} sum to the same class as those
-    separating {1, k} from {2, l}, so the difference of the two row sums
-    pairs to zero with every curve class.
+    k != l are the bit indices of two labels other than 1 and 2 (bits 0 and
+    1).  The divisors separating {1, 2} from {k, l} count +1, those separating
+    {1, k} from {2, l} count -1.  Both sums are the same class, so the
+    relation pairs to zero with every curve class.
     """
-    out = []
-    for k, l in permutations(range(2, m.label_set.n), 2):
-        plus = minus = 0
-        for r, sigma in enumerate(m.rows):
-            b = sigma.part_b_mask
-            if b >> k & b >> l & 1:
-                if not b & 2:
-                    plus |= 1 << r
-            elif b & 2 and b >> l & 1:
-                minus |= 1 << r
-        out.append((plus, minus))
-    return out
+    return (b >> k & b >> l & ~b >> 1 & 1) - (b >> 1 & b >> l & ~b >> k & 1)
 
 
-def _keel_basis(m: IntersectionMatrix) -> list[tuple[int, int]]:
-    """Keel's relations independent over GF(2), hence over the rationals.
+def _basis_pairs(n: int) -> list[tuple[int, int]]:
+    """Bit indices (k, l) of R(1, 2, k, l) for 3 <= k < l <= n, then of R(1, 2, l, 3) for 4 <= l <= n.
 
-    Each relation's support is reduced against the pivots kept so far,
-    keyed by bit length; one that leaves a remainder joins the basis.
+    These n(n - 3)/2 Keel relations are as many as the rows exceed the Picard rank.
     """
-    pivots: dict[int, int] = {}
-    basis = []
-    for rel in _keel_relations(m):
-        v = rel[0] | rel[1]
-        while v.bit_length() in pivots:
-            v ^= pivots[v.bit_length()]
-        if v:
-            pivots[v.bit_length()] = v
-            basis.append(rel)
-    return basis
+    return [(k, l) for l in range(3, n) for k in range(2, l)] + [(l, 2) for l in range(3, n)]
+
+
+def _lead_classes(m: IntersectionMatrix) -> Iterator[tuple[int, DistinguishedPartition]]:
+    """One curve class per lead row, built from the row alone, with the row's part-b mask.
+
+    A part b of at least 3 labels, x < y the two smallest, leads the class
+    A | x | y | b - {x, y}, with A the other part: every other P- or N-member
+    is a proper subset of b, so a smaller mask.  Of the pair rows only
+    {n - 1, n} leads, by the class 1 | 2..n-2 | n-1 | n.  That makes
+    ``picard_rank(n)`` rows.
+    """
+    full = m.label_set.full_mask
+    top = full ^ (full >> 2)
+    for sigma in m.rows:
+        b = sigma.part_b_mask
+        x = b & -b
+        y = (b ^ x) & -(b ^ x)
+        if b.bit_count() >= 3:
+            yield b, DistinguishedPartition(m.label_set, (full ^ b, x, y, b ^ x ^ y))
+        elif b == top:
+            yield b, DistinguishedPartition(m.label_set, (1, full ^ b ^ 1, x, y))
 
 
 def _rank_bounds(m: IntersectionMatrix) -> tuple[int, int]:
-    """A lower and an upper bound on the rational rank of ``m``.
+    """A lower and an upper bound on the rational rank of ``m``, each built from the rows.
 
-    The lower bound counts the distinct leads of the columns, a column's
-    lead being the largest part-b mask among its nonzero rows.  One column
-    per lead, ordered by lead, is triangular with +1 or -1 on the diagonal,
-    so those columns are independent.  Leads are compared as masks, not as
-    row indices: the rows are sorted by part size first, so by index no
-    column leads with the pair row {n - 1, n}, and the count falls one short
-    of the Picard rank (465 against 466 at n = 10).  The upper bound is the
-    row count minus the number of Keel relations independent over GF(2),
-    hence over the rationals; each of them is checked in integers against
-    every column.
+    Lower: the classes of :func:`_lead_classes`, each checked to lead at its
+    own row.  Ordered by lead (as masks, not row indices), they are
+    triangular with +1 or -1 on the diagonal, so independent.
+
+    Upper: the rows minus the rank, by Bareiss elimination, of the Keel
+    basis of :func:`_basis_pairs` on the pair rows alone.  Relations
+    independent there are independent, and the basis lies in the left
+    kernel by one check: R(1, 2, 3, 4) pairs to zero with every class of
+    min(n, 10) labels.  A relation's pairing depends only on which blocks
+    hold 1, 2, k and l and which blocks hold at least 2 labels, since those
+    decide which P- and N-members it counts.  Every such placement occurs at
+    10 labels: four labels, at most six more to fill the blocks, and any
+    further label joins a block of at least 2.  A relabelling that fixes 1
+    and 2 carries R(1, 2, 3, 4) to every other R(1, 2, k, l), and the
+    classes onto the classes.
     """
-    basis = _keel_basis(m)
-    masks = [sigma.part_b_mask for sigma in m.rows]
-    leads = set()
-    for plus, minus in _columns(m):
-        for up, down in basis:
-            _check_internal(
-                (up & plus).bit_count() + (down & minus).bit_count()
-                == (down & plus).bit_count() + (up & minus).bit_count(),
-                "a Keel relation pairs nonzero with a curve class",
-            )
-        leads.add(max([masks[r] for r in bits_of(plus | minus)]))
-    return len(leads), len(m.rows) - len(basis)
+    n = m.label_set.n
+    r1234 = partial(_keel, 2, 3)
+    for pi in m.cols if n <= 10 else enumerate_distinguished(LabelSet.numbered(10)):
+        _check_internal(_degree(r1234, 1, pi) == 0, "a Keel relation pairs nonzero with a curve class")
+    lower = 0
+    for b, pi in _lead_classes(m):
+        _check_internal(max(_p_masks(pi) + _n_masks(pi)) == b, f"{pi.literal()} does not lead at its row")
+        lower += 1
+    pairs = [sigma.part_b_mask for sigma in m.rows if sigma.part_b_mask.bit_count() == 2]
+    minor = [[_keel(k, l, b) for b in pairs] for k, l in _basis_pairs(n)]
+    return lower, len(m.rows) - matrix_rank(minor)
 
 
 def matrix_rank(m: IntersectionMatrix | Sequence[Sequence[int]]) -> int:
     """Exact rank of an integer matrix.
 
-    An :class:`IntersectionMatrix` is ranked from its sparse columns alone:
-    the distinct leads bound the rank from below and Keel's relations from
-    above, and the two must meet, or :class:`InternalCheckError` names
+    An :class:`IntersectionMatrix` is ranked by a certificate built from its
+    rows, walking at most the classes of 10 labels: one lead class per lead
+    row bounds the rank from below, an explicit basis of Keel's relations
+    from above, and the two must meet, or :class:`InternalCheckError` names
     both.  A plain sequence of rows is ranked by Bareiss fraction-free
     elimination over arbitrary-precision integers, scanning columns in
     order and taking the first nonzero pivot, so the result is

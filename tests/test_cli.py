@@ -365,6 +365,18 @@ def test_matrix_rank_n10_is_sparse(capsys):
     }
 
 
+def test_matrix_rank_n16_walks_no_class_of_16_labels(capsys):
+    # 171,798,901 columns: the certificate is built from the rows.
+    payload = run_json(capsys, "matrix", "--n", "16", "--action", "rank")
+    assert payload["result"] == {
+        "cols": 171798901,
+        "picard_rank": 32647,
+        "rank": 32647,
+        "rows": 32751,
+        "verdict": "equal",
+    }
+
+
 def test_matrix_emit_tsv(capsys):
     code, out, _ = run(capsys, "matrix", "--n", "5", "--action", "emit", "--format", "tsv")
     assert code == 0

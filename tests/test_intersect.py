@@ -4,7 +4,9 @@ Three independent oracles live here: a rank computed by dense rational
 elimination (checking the fraction-free integer route and the certified
 sparse route), a pairing read directly off curve trees (checking the
 partition route), and the paper's pairing rule applied to label sets
-(checking the P-set and N-set route).
+(checking the P-set and N-set route).  The rank certificate, built from the
+rows, is checked against a GF(2) elimination of every Keel relation and an
+exhaustive walk of the column leads, both for n <= 10.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice, permutations
 from pathlib import Path
 
 import pytest
@@ -159,7 +161,7 @@ def test_pair_rejects_small_n_and_mixed_labels():
     s5 = LabelSet.numbered(5)
     s6 = LabelSet.numbered(6)
     pi6 = DistinguishedPartition.of(s6, [[1], [2], [3], [4, 5, 6]])
-    with pytest.raises(InvariantError):
+    with pytest.raises(InvariantError, match="^sigma and pi must use the same labels$"):
         pair_divisor_curve(TwoPartition.of(s5, [4, 5]), pi6)
 
 
@@ -233,6 +235,15 @@ def test_minus_k_expanded_rejects_n4():
     s4 = LabelSet.numbered(4)
     with pytest.raises(InvariantError):
         minus_k_expanded(DistinguishedPartition.of(s4, [[1], [2], [3], [4]]))
+
+
+def test_minus_k_expanded_checks_that_the_sum_divides_exactly(monkeypatch):
+    # One more per member adds 3 - |N| = 2 to a sum over 5 here.
+    numerator = intersect._minus_k_numerator
+    monkeypatch.setattr(intersect, "_minus_k_numerator", lambda n, b: numerator(n, b) + 1)
+    pi = DistinguishedPartition.of(LabelSet.numbered(6), [[1], [2], [3], [4, 5, 6]])
+    with pytest.raises(InternalCheckError, match="^expanded degree is not an integer$"):
+        minus_k_expanded(pi)
 
 
 def test_k_plus_b_is_one_exhaustive():
@@ -319,8 +330,9 @@ def test_matrices_over_one_label_set_are_equal_and_hash_alike():
 
 
 def test_sparse_rank_heap_in_a_fresh_interpreter():
-    # The columns are read from the lazy class stream, one at a time: the
-    # traced peak is about 0.5 MiB at n = 10, where holding the 34,105
+    # The certificate reads the lazy class stream one class at a time for
+    # its kernel check and holds only a lead count and the pair-row minor:
+    # the traced peak is about 0.4 MiB at n = 10, where holding the 34,105
     # column objects peaked at 7.4 MiB.
     script = (
         "import tracemalloc\n"
@@ -342,39 +354,95 @@ def test_sparse_rank_heap_in_a_fresh_interpreter():
     assert peak / 2**20 < 1.5
 
 
+def keel_relations_by_row_scan(m):
+    """Keel's R(1, 2, k, l) for every ordered pair k != l, as (+rows, -rows) bitsets.
+
+    Each relation scans every row: +1 where part b holds k and l but not 2,
+    -1 where it holds 2 and l but not k.
+    """
+    out = []
+    for k, l in permutations(range(2, m.label_set.n), 2):
+        plus = minus = 0
+        for r, sigma in enumerate(m.rows):
+            b = sigma.part_b_mask
+            if b >> k & b >> l & 1:
+                if not b & 2:
+                    plus |= 1 << r
+            elif b & 2 and b >> l & 1:
+                minus |= 1 << r
+        out.append((plus, minus))
+    return out
+
+
+def keel_basis_over_gf2(m):
+    """Keel's relations independent over GF(2), hence over the rationals.
+
+    Each relation's support is reduced against the pivots kept so far,
+    keyed by bit length; one that leaves a remainder joins the basis.
+    """
+    pivots = {}
+    basis = []
+    for rel in keel_relations_by_row_scan(m):
+        v = rel[0] | rel[1]
+        while v.bit_length() in pivots:
+            v ^= pivots[v.bit_length()]
+        if v:
+            pivots[v.bit_length()] = v
+            basis.append(rel)
+    return basis
+
+
+def column_leads(m):
+    """Each column's lead, the largest part-b mask among its nonzero rows, mapped to its classes.
+
+    Walks every column.
+    """
+    leads = {}
+    for pi in m.cols:
+        leads.setdefault(max(intersect._p_masks(pi) + intersect._n_masks(pi)), []).append(pi)
+    return leads
+
+
 def test_keel_basis_is_in_the_left_kernel():
     for n in (5, 6, 7, 8):
         m = intersection_matrix(LabelSet.numbered(n))
-        for up, down in intersect._keel_basis(m):
-            assert up and down and not up & down
+        basis = [[intersect._keel(k, l, sigma.part_b_mask) for sigma in m.rows] for k, l in intersect._basis_pairs(n)]
+        assert len(basis) == len(keel_basis_over_gf2(m)) == n * (n - 3) // 2
+        assert matrix_rank(basis) == len(basis)
+        for coefficients in basis:
+            assert set(coefficients) == {-1, 0, 1}
             total = [0] * len(m.cols)
-            for r, row in enumerate(m.entries):
-                sign = (up >> r & 1) - (down >> r & 1)
+            for sign, row in zip(coefficients, m.entries):
                 if sign:
                     total = [t + sign * x for t, x in zip(total, row)]
             assert total == [0] * len(m.cols)
 
 
 def test_keel_basis_size_is_rows_minus_picard_rank():
+    # The upper bound ranks the explicit basis on the pair rows alone; the
+    # oracle eliminates every relation over GF(2), on every row.
     for n in range(5, 11):
         m = intersection_matrix(LabelSet.numbered(n))
-        assert len(intersect._keel_basis(m)) == n * (n - 3) // 2
-        assert len(m.rows) - n * (n - 3) // 2 == picard_rank(n)
+        gf2 = len(keel_basis_over_gf2(m))
+        assert gf2 == len(intersect._basis_pairs(n)) == n * (n - 3) // 2
+        assert intersect._rank_bounds(m)[1] == len(m.rows) - gf2 == picard_rank(n)
 
 
-def column_lead(m, plus, minus):
-    """Largest part-b mask among a column's nonzero rows."""
-    return max(sigma.part_b_mask for r, sigma in enumerate(m.rows) if (plus | minus) >> r & 1)
+def keel_placements(n):
+    """For each class of n labels, which of labels 1-4 each block holds, and which hold at least 2 labels."""
+    out = set()
+    for pi in enumerate_distinguished(LabelSet.numbered(n)):
+        masks = pi.block_masks
+        out.add((tuple(m & 0b1111 for m in masks), tuple(m.bit_count() >= 2 for m in masks)))
+    return out
 
 
-def test_lead_bound_matches_the_rational_oracle_picard_and_keel():
-    for n in range(5, 11):
-        m = intersection_matrix(LabelSet.numbered(n))
-        lower, upper = intersect._rank_bounds(m)
-        assert lower == upper == picard_rank(n)
-        if n <= 7:
-            assert lower == rank_by_rational_elimination(m.entries)
-            assert lower == len({column_lead(m, *col) for col in intersect._columns(m)})
+def test_keel_placements_all_occur_at_10_labels():
+    # The kernel check pairs R(1, 2, 3, 4) with the classes of 10 labels
+    # only: no placement is new above 10.
+    found = {n: keel_placements(n) for n in range(5, 13)}
+    assert [len(found[n]) for n in range(5, 13)] == [10, 41, 82, 107, 114, 115, 115, 115]
+    assert found[10] == found[11] == found[12]
 
 
 def lead_classes(s):
@@ -398,17 +466,28 @@ def lead_classes(s):
     return out
 
 
+def test_lead_bound_matches_the_rational_oracle_picard_and_keel():
+    for n in range(5, 11):
+        m = intersection_matrix(LabelSet.numbered(n))
+        lower, upper = intersect._rank_bounds(m)
+        assert lower == upper == picard_rank(n)
+        if n <= 7:
+            assert lower == rank_by_rational_elimination(m.entries)
+
+
 def test_lead_classes_give_the_lead_bound():
+    # The built classes against the label-level construction, and their
+    # leads against the exhaustive column-lead map.
     for n in range(5, 11):
         s = LabelSet.numbered(n)
-        pairs = lead_classes(s)
-        for sigma, pi in pairs:
-            members = intersect._p_masks(pi) + intersect._n_masks(pi)
-            assert max(members) == sigma.part_b_mask, (sigma.literal(), pi.literal())
-        leads = {sigma.part_b_mask for sigma, _ in pairs}
-        assert len(leads) == len(pairs)
-        lower, _ = intersect._rank_bounds(intersection_matrix(s))
-        assert len(leads) == lower == picard_rank(n)
+        m = intersection_matrix(s)
+        built = list(intersect._lead_classes(m))
+        assert built == [(sigma.part_b_mask, pi) for sigma, pi in lead_classes(s)]
+        leads = column_leads(m)
+        assert set(leads) == {b for b, _ in built}
+        for b, pi in built:
+            assert pi in leads[b], pi.literal()
+        assert len(built) == intersect._rank_bounds(m)[0] == picard_rank(n)
 
 
 def test_sparse_rank_refuses_when_bounds_differ(monkeypatch):
@@ -420,49 +499,38 @@ def test_sparse_rank_refuses_when_bounds_differ(monkeypatch):
 
 
 def test_sparse_rank_refuses_when_a_lead_goes_missing(monkeypatch):
-    columns = intersect._columns
-
-    def without_one_lead(m):
-        dropped = None
-        for plus, minus in columns(m):
-            lead = column_lead(m, plus, minus)
-            dropped = lead if dropped is None else dropped
-            if lead != dropped:
-                yield plus, minus
-
-    monkeypatch.setattr(intersect, "_columns", without_one_lead)
+    built = intersect._lead_classes
+    monkeypatch.setattr(intersect, "_lead_classes", lambda m: islice(built(m), 1, None))
     m = intersection_matrix(LabelSet.numbered(6))
     with pytest.raises(InternalCheckError, match="^rank bounds differ: 15 distinct leads, Keel bound 16$"):
         matrix_rank(m)
     assert "entries" not in vars(m)
 
 
+def test_sparse_rank_rejects_a_lead_class_built_for_another_row(monkeypatch):
+    built = intersect._lead_classes
+
+    def swapped(m):
+        (b0, pi0), (b1, pi1), *rest = built(m)
+        return [(b0, pi1), (b1, pi0)] + rest
+
+    monkeypatch.setattr(intersect, "_lead_classes", swapped)
+    with pytest.raises(InternalCheckError, match="does not lead at its row$"):
+        matrix_rank(intersection_matrix(LabelSet.numbered(6)))
+
+
 def test_sparse_rank_rejects_a_corrupted_relation(monkeypatch):
-    keel = intersect._keel_relations
-
-    def corrupted(m):
-        (up, down), *rest = keel(m)
-        spare = next(r for r in range(len(m.rows)) if not (up | down) >> r & 1)
-        return [(up | 1 << spare, down)] + rest
-
-    monkeypatch.setattr(intersect, "_keel_relations", corrupted)
-    with pytest.raises(InternalCheckError):
+    # Part b = {3, 4} is a +1 row of R(1, 2, 3, 4); count it twice.
+    keel = intersect._keel
+    monkeypatch.setattr(intersect, "_keel", lambda k, l, b: keel(k, l, b) + ((k, l, b) == (2, 3, 0b1100)))
+    with pytest.raises(InternalCheckError, match="^a Keel relation pairs nonzero with a curve class$"):
         matrix_rank(intersection_matrix(LabelSet.numbered(6)))
 
 
 def test_sparse_rank_rejects_a_corrupted_column(monkeypatch):
-    columns = intersect._columns
-
-    def corrupted(m):
-        it = columns(m)
-        for plus, minus in it:
-            if minus:
-                yield plus, 0
-                break
-            yield plus, minus
-        yield from it
-
-    monkeypatch.setattr(intersect, "_columns", corrupted)
+    # Each class loses its first N-member.
+    n_masks = intersect._n_masks
+    monkeypatch.setattr(intersect, "_n_masks", lambda pi: n_masks(pi)[1:])
     with pytest.raises(InternalCheckError):
         matrix_rank(intersection_matrix(LabelSet.numbered(6)))
 
