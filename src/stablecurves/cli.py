@@ -334,21 +334,26 @@ def _cmd_matrix(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _cmd_tree(args: argparse.Namespace) -> tuple[str, int]:
-    from .trees import _from_cut_masks, _intake, forget_and_stabilize, pi_of_tree, signature
+    from .trees import StableTree, _intake, forget_and_stabilize, pi_of_tree, signature
 
-    tails, edges, s = parse_tree_literal(args.tree)
     parameters = {"action": args.action, "tree": args.tree}
-
-    # One walk validates the input and cuts its edges, for the tree and,
-    # for contract, the edges that stay.
-    problems, cuts = _intake(tails, edges, s)
+    try:
+        tails, edges, s = parse_tree_literal(args.tree)
+    except InvariantError as exc:  # a literal with no labels
+        if args.action != "validate":
+            raise
+        problems = [str(exc)]
+    else:
+        # One walk validates the input and cuts its edges, for the tree and,
+        # for contract, the edges that stay.
+        problems, cuts = _intake(tails, edges, s)
     if args.action == "validate":
         result = {"valid": not problems, "violations": problems}
         text = _dump(_envelope("tree", parameters, result))
         return text, (EXIT_OK if not problems else EXIT_INVARIANT)
     if problems:
         raise InvariantError("; ".join(problems))
-    t = _from_cut_masks(s, cuts)
+    t = StableTree(s, cuts)
     if args.action == "signature":
         sig = signature(t)
         result = {
@@ -361,7 +366,7 @@ def _cmd_tree(args: argparse.Namespace) -> tuple[str, int]:
         i, j = parse_edge(args.edge)
         if not any(set(e) == {i, j} for e in edges):
             raise InvariantError(f"unknown edge ({i}, {j}) in the input tree")
-        contracted = _from_cut_masks(s, [c for e, c in zip(edges, cuts) if set(e) != {i, j}])
+        contracted = StableTree(s, [c for e, c in zip(edges, cuts) if set(e) != {i, j}])
         parameters["edge"] = args.edge
         result = {"tree": _tree_payload(contracted)}
     elif args.action == "forget":

@@ -77,10 +77,12 @@ class _Record:
     from them positionally or by keyword, then ``__post_init__``, looked up
     on the class, validates it.  A class built in hot loops writes its own
     ``__init__``, about twice as fast, which calls ``__post_init__`` when
-    the class has one.  Fields cannot be set or deleted.  Records are equal
-    when of one class with equal fields, and hash as the tuple of fields.
-    Instances keep a ``__dict__``, where ``functools.cached_property``
-    stores derived views.
+    the class has one.  A class whose values have one canonical form puts
+    its input in that form as it validates it: in its own ``__init__``, or
+    in ``__post_init__`` when it uses this one.  Fields cannot be set or
+    deleted.  Records are equal when of one class with equal fields, and
+    hash as the tuple of fields.  Instances keep a ``__dict__``, where
+    ``functools.cached_property`` stores derived views.
     """
 
     def __init_subclass__(cls, **kwargs) -> None:
@@ -125,29 +127,24 @@ class _Record:
 
 
 class LabelSet(_Record):
-    """A finite set of marking labels in a fixed canonical order."""
+    """A finite set of marking labels, given in any order and stored sorted."""
 
     labels: tuple
 
     def __post_init__(self):
         if not self.labels:
             raise InvariantError("label set is empty")
-        if len(set(self.labels)) != len(self.labels):
-            raise InvariantError("labels must be pairwise distinct")
         try:
             ordered = tuple(sorted(self.labels))
         except TypeError as exc:
             raise InvariantError("labels must be mutually comparable") from exc
-        if self.labels != ordered:
-            raise InvariantError("labels must be in sorted order; use LabelSet.of")
+        if len(set(ordered)) != len(ordered):
+            raise InvariantError("labels must be pairwise distinct")
+        object.__setattr__(self, "labels", ordered)
 
     @classmethod
     def of(cls, labels: Iterable) -> "LabelSet":
-        try:
-            ordered = tuple(sorted(labels))
-        except TypeError as exc:
-            raise InvariantError("labels must be mutually comparable") from exc
-        return cls(ordered)
+        return cls(tuple(labels))
 
     @classmethod
     def numbered(cls, n: int) -> "LabelSet":
@@ -209,15 +206,17 @@ def _format_shape(shape: Iterable[int]) -> str:
 class TwoPartition(_Record):
     """A stable unordered 2-partition of a label set.
 
-    Both parts have at least two labels.  Canonical orientation: ``part_a``
-    is the side containing the smallest label, so only the other side is
-    stored.
+    Both parts have at least two labels.  The constructor takes the mask of
+    either part, and :meth:`of` the labels of either part; ``part_a`` is the
+    side containing the smallest label, so only the other side is stored.
     """
 
     label_set: LabelSet
     part_b_mask: int
 
     def __init__(self, label_set: LabelSet, part_b_mask: int) -> None:
+        if part_b_mask & 1:
+            part_b_mask ^= label_set.full_mask
         object.__setattr__(self, "label_set", label_set)
         object.__setattr__(self, "part_b_mask", part_b_mask)
         self.__post_init__()
@@ -225,20 +224,14 @@ class TwoPartition(_Record):
     def __post_init__(self):
         full = self.label_set.full_mask
         b = self.part_b_mask
-        if b <= 0 or b & 1 or b & ~full:
-            raise InvariantError(
-                "part_b must be a nonempty label subset avoiding the smallest label"
-            )
+        if b <= 0 or b & ~full:
+            raise InvariantError("part_b must be a nonempty label subset")
         if b.bit_count() < 2 or (full ^ b).bit_count() < 2:
             raise InvariantError("both parts need at least 2 labels")
 
     @classmethod
     def of(cls, label_set: LabelSet, part: Iterable) -> "TwoPartition":
-        """Build from either part; the orientation is normalized."""
-        mask = label_set.mask_of(part)
-        if mask & 1:
-            mask = label_set.full_mask ^ mask
-        return cls(label_set, mask)
+        return cls(label_set, label_set.mask_of(part))
 
     @property
     def part_a_mask(self) -> int:
@@ -269,16 +262,17 @@ def partition_sort_key(sigma: TwoPartition) -> tuple:
 class DistinguishedPartition(_Record):
     """An unordered partition of the label set into exactly four nonempty blocks.
 
-    Blocks are stored in ascending order of their smallest label, so block
-    one always contains the overall smallest label.
+    Blocks may be given in any order and are stored in ascending order of
+    their smallest label, so block one always contains the overall smallest
+    label.
     """
 
     label_set: LabelSet
     block_masks: tuple[int, int, int, int]
 
-    def __init__(self, label_set: LabelSet, block_masks: tuple[int, int, int, int]) -> None:
+    def __init__(self, label_set: LabelSet, block_masks: Iterable[int]) -> None:
         object.__setattr__(self, "label_set", label_set)
-        object.__setattr__(self, "block_masks", block_masks)
+        object.__setattr__(self, "block_masks", tuple(sorted(block_masks, key=_low_bit)))
         self.__post_init__()
 
     def __post_init__(self):
@@ -292,12 +286,10 @@ class DistinguishedPartition(_Record):
             total += m.bit_count()
         if union != self.label_set.full_mask or total != self.label_set.n:
             raise InvariantError("blocks must be disjoint and cover the label set")
-        if list(masks) != sorted(masks, key=_low_bit):
-            raise InvariantError("blocks must be ordered by their smallest label")
 
     @classmethod
     def of(cls, label_set: LabelSet, blocks: Iterable[Iterable]) -> "DistinguishedPartition":
-        return cls(label_set, tuple(sorted((label_set.mask_of(b) for b in blocks), key=_low_bit)))
+        return cls(label_set, [label_set.mask_of(b) for b in blocks])
 
     @property
     def blocks(self) -> tuple:
@@ -390,6 +382,8 @@ def reconstruct_from_p(partitions: Iterable[TwoPartition]) -> DistinguishedParti
     s = parts[0].label_set
     if any(p.label_set != s for p in parts):
         raise InvariantError("not a P-set: mixed label sets")
+    # The two first in canonical order, so a refusal does not depend on
+    # the order the triple is given in.
     first, second = sorted(parts, key=partition_sort_key)[:2]
     blocks = []
     for x in (first.part_a_mask, first.part_b_mask):
@@ -398,7 +392,7 @@ def reconstruct_from_p(partitions: Iterable[TwoPartition]) -> DistinguishedParti
             if not m:
                 raise InvariantError("not a P-set: a pairwise part intersection is empty")
             blocks.append(m)
-    pi = DistinguishedPartition(s, tuple(sorted(blocks, key=_low_bit)))
+    pi = DistinguishedPartition(s, blocks)
     if set(p_set(pi)) != set(parts):
         raise InvariantError("not a P-set: triple does not pair the blocks of any 4-block partition")
     return pi

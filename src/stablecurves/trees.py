@@ -57,12 +57,12 @@ __all__ = [
 class StableTree(_Record):
     """A stable tree, stored as its family of edge cuts.
 
-    ``cuts`` holds, for every edge, the side of its cut that avoids the
-    smallest label, as a bitmask; the masks are sorted as integers.
-    Instances should be produced by :func:`make_tree`,
-    :func:`tree_from_signature` or the enumerators; the constructor does not
-    re-canonicalize.  Structural equality then coincides with isomorphism
-    over the same label set.
+    The constructor takes each cut as either of its sides, as a bitmask,
+    in any order.  ``cuts`` holds, for every edge, the side that avoids the
+    smallest label; the masks are sorted as integers, so structural
+    equality coincides with isomorphism over the same label set.  The
+    constructor does not check that the cuts are distinct and laminar:
+    :func:`make_tree` and :func:`tree_from_signature` do.
 
     ``vertex_tails`` and ``edges`` are derived from the cuts on first use,
     in the canonical numbering the module docstring describes.
@@ -71,9 +71,10 @@ class StableTree(_Record):
     label_set: LabelSet
     cuts: tuple[int, ...]
 
-    def __init__(self, label_set: LabelSet, cuts: tuple[int, ...]) -> None:
+    def __init__(self, label_set: LabelSet, cuts: Iterable[int]) -> None:
+        full = label_set.full_mask
         object.__setattr__(self, "label_set", label_set)
-        object.__setattr__(self, "cuts", cuts)
+        object.__setattr__(self, "cuts", tuple(sorted(m ^ full if m & 1 else m for m in cuts)))
 
     @cached_property
     def _layout(self) -> tuple[
@@ -142,48 +143,35 @@ class StableTree(_Record):
 class PartitionSetSignature(_Record):
     """A set of pairwise compatible, distinct stable 2-partitions.
 
-    Stored sorted in the canonical partition order.  Two stable trees are
+    The constructor takes the partitions in any order and stores them
+    sorted in the canonical partition order.  Two stable trees are
     isomorphic exactly when their signatures are equal.  The constructor
-    trusts its input; :meth:`of` and :func:`tree_from_signature` check it.
+    checks nothing else; :meth:`of` and :func:`tree_from_signature` do.
     """
 
     label_set: LabelSet
     partitions: tuple[TwoPartition, ...]
 
-    def __init__(self, label_set: LabelSet, partitions: tuple[TwoPartition, ...]) -> None:
+    def __init__(self, label_set: LabelSet, partitions: Iterable[TwoPartition]) -> None:
         object.__setattr__(self, "label_set", label_set)
-        object.__setattr__(self, "partitions", partitions)
+        object.__setattr__(self, "partitions", tuple(sorted(partitions, key=partition_sort_key)))
 
     @classmethod
     def of(cls, label_set: LabelSet, partitions: Iterable[TwoPartition]) -> "PartitionSetSignature":
-        parts = tuple(sorted(partitions, key=partition_sort_key))
-        _check_signature(label_set, parts)
-        return cls(label_set, parts)
+        sig = cls(label_set, partitions)
+        _check_signature(label_set, sig.partitions)
+        return sig
 
 
 def _check_signature(s: LabelSet, parts: Sequence[TwoPartition]) -> None:
-    """Refuse anything but distinct, pairwise compatible cuts of ``s`` in canonical order."""
+    """Refuse anything but distinct, pairwise compatible cuts of ``s``."""
     if any(p.label_set != s for p in parts):
         raise InvariantError("signature element over a different label set")
-    keys = [partition_sort_key(p) for p in parts]
-    if len(set(keys)) != len(keys):
+    if len({p.part_b_mask for p in parts}) != len(parts):
         raise InvariantError("signature elements must be distinct")
-    if keys != sorted(keys):
-        raise InvariantError("signature elements must be in the canonical partition order")
     for x, y in combinations(parts, 2):
         if not _masks_compatible(x.part_b_mask, y.part_b_mask):
             raise InvariantError(f"incompatible set: {x.literal()} crosses {y.literal()}")
-
-
-def _from_cut_masks(s: LabelSet, masks: Iterable[int]) -> StableTree:
-    """Canonical tree from its family of edge cuts.
-
-    Each mask may describe either side of its cut; sides containing the
-    smallest label are flipped.  The caller guarantees the family is
-    laminar with distinct cuts, all parts of size 2 to n - 2.
-    """
-    full = s.full_mask
-    return StableTree(s, tuple(sorted(m if not m & 1 else full ^ m for m in masks)))
 
 
 def _intake(
@@ -292,7 +280,7 @@ def make_tree(
     problems, cuts = _intake(list(vertex_tails), list(edges), s)
     if problems:
         raise InvariantError("; ".join(problems))
-    return _from_cut_masks(s, cuts)
+    return StableTree(s, cuts)
 
 
 def edge_cut(t: StableTree, e: Sequence[int]) -> TwoPartition:
@@ -315,9 +303,7 @@ def edge_cut(t: StableTree, e: Sequence[int]) -> TwoPartition:
 
 def signature(t: StableTree) -> PartitionSetSignature:
     """The set of edge cuts of ``t``, the complete isomorphism invariant."""
-    cuts = [TwoPartition(t.label_set, m) for m in t.cuts]
-    cuts.sort(key=partition_sort_key)
-    return PartitionSetSignature(t.label_set, tuple(cuts))
+    return PartitionSetSignature(t.label_set, [TwoPartition(t.label_set, m) for m in t.cuts])
 
 
 def tree_from_signature(
@@ -341,14 +327,13 @@ def tree_from_signature(
                 raise InvariantError("label set required for an empty signature")
             s = parts[0].label_set
         resolved = PartitionSetSignature.of(s, parts)
-    masks = sorted(p.part_b_mask for p in resolved.partitions)
-    return StableTree(resolved.label_set, tuple(masks))
+    return StableTree(resolved.label_set, [p.part_b_mask for p in resolved.partitions])
 
 
 def contract_edge(t: StableTree, e: Sequence[int]) -> StableTree:
     """The tree with edge ``e`` contracted (its endpoints merged)."""
     cut = edge_cut(t, e).part_b_mask
-    return StableTree(t.label_set, tuple(m for m in t.cuts if m != cut))
+    return StableTree(t.label_set, [m for m in t.cuts if m != cut])
 
 
 def forget_and_stabilize(t: StableTree, q: Iterable) -> StableTree:
@@ -373,11 +358,13 @@ def forget_and_stabilize(t: StableTree, q: Iterable) -> StableTree:
         for new_bit, old_bit in enumerate(kept):
             if m >> old_bit & 1:
                 r |= 1 << new_bit
+        # Oriented before the set drops repeats: two cuts can restrict to
+        # the two sides of one cut.
         if r & 1:
             r ^= full
         if r.bit_count() >= 2 and (full ^ r).bit_count() >= 2:
             cuts.add(r)
-    return StableTree(new_s, tuple(sorted(cuts)))
+    return StableTree(new_s, cuts)
 
 
 def exceptional_vertex(t: StableTree) -> int:
@@ -412,8 +399,7 @@ def pi_of_tree(t: StableTree) -> DistinguishedPartition:
     for w in neighbours[v0]:
         # A child's block is its side; the parent's is all but v0's side.
         blocks.append(sides[w] if w > v0 else t.label_set.full_mask ^ sides[v0])
-    blocks.sort(key=_low_bit)
-    return DistinguishedPartition(t.label_set, tuple(blocks))
+    return DistinguishedPartition(t.label_set, blocks)
 
 
 def _rooted_binary_families(mask: int) -> tuple[tuple[int, ...], ...]:
@@ -474,7 +460,7 @@ def _class_size(shape: Iterable[int]) -> int:
 def _curve_trees_in_class(pi: DistinguishedPartition) -> Iterator[StableTree]:
     """Every curve tree whose 4-flag vertex reads off ``pi``, one at a time."""
     for chosen in product(*map(_hanging, pi.block_masks)):
-        yield _from_cut_masks(pi.label_set, [m for group in chosen for m in group])
+        yield StableTree(pi.label_set, [m for group in chosen for m in group])
 
 
 class CurveTrees(_LazySequence):
@@ -521,14 +507,14 @@ def enumerate_trees(s: LabelSet, codim: int, max_n: int | None = None) -> list[S
     if codim < 0 or codim > s.n - 3:
         raise InvariantError(f"codimension {codim} out of range 0..{s.n - 3}")
     if codim == 0:
-        return [_from_cut_masks(s, [])]
+        return [StableTree(s, ())]
     cands = [p.part_b_mask for p in enumerate_stable_two_partitions(s, max_n=max_n)]
     out: list[StableTree] = []
     chosen: list[int] = []
 
     def extend(start: int) -> None:
         if len(chosen) == codim:
-            out.append(_from_cut_masks(s, chosen))
+            out.append(StableTree(s, chosen))
             return
         need = codim - len(chosen)
         for i in range(start, len(cands) - need + 1):

@@ -430,6 +430,15 @@ def test_tree_validate_duplicate_label(capsys):
     assert any("more than once" in v for v in payload["result"]["violations"])
 
 
+def test_tree_validate_reports_a_literal_with_no_labels(capsys):
+    code, out, err = run(capsys, "tree", "--action", "validate", "--tree", "[];[]/0-1")
+    assert (code, err) == (3, "")
+    assert json.loads(out)["result"] == {"valid": False, "violations": ["label set is empty"]}
+    for action in ("signature", "pi"):
+        code, out, err = run(capsys, "tree", "--action", action, "--tree", "[];[]/0-1")
+        assert (code, out, err) == (3, "", "stablecurves: label set is empty\n")
+
+
 def test_tree_signature(capsys):
     payload = run_json(capsys, "tree", "--action", "signature", "--tree", "[1,2];[3];[4,5]/0-1,1-2")
     assert payload["result"] == {"codimension": 2, "signature": ["123|45", "12|345"]}

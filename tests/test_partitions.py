@@ -6,6 +6,7 @@ raw subset enumeration, independent of the bitmask implementation.
 
 from __future__ import annotations
 
+import random
 import re
 import time
 from collections.abc import Sequence
@@ -96,10 +97,24 @@ def test_label_set_sorts_and_rejects_duplicates():
     for build in (lambda: LabelSet.of([]), lambda: LabelSet(())):
         with pytest.raises(InvariantError, match="label set is empty"):
             build()
-    with pytest.raises(InvariantError, match="sorted order"):
-        LabelSet((2, 1))
+    # The constructor itself sorts, so LabelSet.of is a plain call.
+    assert LabelSet((2, 1)) == LabelSet.numbered(2) and LabelSet((2, 1)).labels == (1, 2)
     with pytest.raises(InvariantError, match="at least one label"):
         LabelSet.numbered(0)
+
+
+def test_constructors_put_their_input_in_canonical_form():
+    # Each constructor takes a valid value in any order, or by either side,
+    # and equals the value its ``of`` twin builds.
+    s = LabelSet.numbered(6)
+    assert LabelSet((3, 1, 2)) == LabelSet.of([3, 1, 2]) == LabelSet.numbered(3)
+    assert TwoPartition(s, 0b000011) == TwoPartition.of(s, [1, 2])
+    rng = random.Random(5)
+    for pi in enumerate_distinguished(s):
+        blocks = list(pi.blocks)
+        rng.shuffle(blocks)
+        masks = [s.mask_of(b) for b in blocks]
+        assert DistinguishedPartition(s, masks) == DistinguishedPartition.of(s, blocks) == pi
 
 
 def test_label_set_masks_roundtrip():
@@ -126,9 +141,12 @@ def test_two_partition_orientation_and_stability():
         TwoPartition.of(s, [6])
     with pytest.raises(InvariantError):
         TwoPartition.of(s, [2, 3, 4, 5, 6])
-    for mask in (0, 0b000011, 0b1000110):  # empty, holding label 1, outside the set
-        with pytest.raises(InvariantError, match="avoiding the smallest label"):
+    for mask in (0, 0b111111, 0b1000110):  # empty, the full set, outside the set
+        with pytest.raises(InvariantError, match="^part_b must be a nonempty label subset$"):
             TwoPartition(s, mask)
+    # A mask holding label 1 names the other side, which is what is stored.
+    flipped = TwoPartition(s, 0b000011)
+    assert flipped.part_b_mask == 0b111100 and flipped == TwoPartition.of(s, [3, 4, 5, 6])
 
 
 @pytest.mark.parametrize("n,count", [(4, 3), (5, 10), (6, 25)])
@@ -186,8 +204,9 @@ def test_distinguished_blocks_are_canonically_ordered():
         DistinguishedPartition.of(s, [[1], [2], [3, 4, 5, 6]])
     with pytest.raises(InvariantError, match="cover the label set"):
         DistinguishedPartition.of(s, [[1], [2], [3], [4]])
-    with pytest.raises(InvariantError, match="ordered by their smallest label"):
-        DistinguishedPartition(s, (0b10, 0b1, 0b100, 0b111000))
+    out_of_order = DistinguishedPartition(s, (0b10, 0b1, 0b100, 0b111000))
+    assert out_of_order.block_masks == (0b1, 0b10, 0b100, 0b111000)
+    assert out_of_order == pi
 
 
 @pytest.mark.parametrize("bad", ["a,b", "a|b", "a b", "\t", ""])

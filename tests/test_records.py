@@ -141,12 +141,12 @@ def test_pinned_reprs():
 
 def test_records_of_different_classes_differ():
     s = LabelSet.numbered(6)
-    masks = (0b000011, 0b000100, 0b011000, 0b100000)
-    pi = DistinguishedPartition(s, masks)
-    tree = StableTree(s, masks)
-    assert pi != tree and tree != pi
-    assert hash(pi) == hash(tree)
-    assert len({pi, tree}) == 2
+    sig = PartitionSetSignature(s, ())
+    tree = StableTree(s, ())
+    assert (sig.label_set, sig.partitions) == (tree.label_set, tree.cuts)
+    assert sig != tree and tree != sig
+    assert hash(sig) == hash(tree)
+    assert len({sig, tree}) == 2
 
 
 def test_census_records_build_by_keyword():

@@ -429,6 +429,28 @@ def test_tree_from_signature_empty_is_star():
     assert t.codimension == 0
 
 
+def test_constructors_canonicalise_shuffled_cuts_given_by_either_side():
+    # Nested cuts {3,4,5} and {3,4} given high first: the tree of make_tree.
+    s6 = LabelSet.numbered(6)
+    nested = make_tree([[1, 2, 6], [5], [3, 4]], [(0, 1), (1, 2)], s6)
+    assert StableTree(s6, (28, 12)) == nested
+    assert StableTree(s6, (28, 12)).vertex_tails == nested.vertex_tails == (35, 16, 12)
+    rng = random.Random(11)
+    for n in range(4, 8):
+        s = LabelSet.numbered(n)
+        for codim in range(n - 2):
+            for t in enumerate_trees(s, codim):
+                cuts = [m ^ s.full_mask if rng.random() < 0.5 else m for m in t.cuts]
+                rng.shuffle(cuts)
+                built = StableTree(s, cuts)
+                assert built == t
+                assert (built.vertex_tails, built.edges) == (t.vertex_tails, t.edges)
+                sig = signature(t)
+                parts = list(sig.partitions)
+                rng.shuffle(parts)
+                assert PartitionSetSignature(s, parts) == sig
+
+
 def test_tree_from_signature_rejects_crossing():
     s = LabelSet.numbered(6)
     sig = [TwoPartition.of(s, [2, 3]), TwoPartition.of(s, [3, 4])]
@@ -450,15 +472,18 @@ def test_tree_from_signature_checks_a_constructed_signature():
         "incompatible set": (a, b),
         "distinct": (a, a),
         "different label set": (a, TwoPartition(LabelSet.numbered(7), 0b0110000)),
-        "canonical partition order": (TwoPartition(s, 0b110000), a),
     }
     for message, parts in cases.items():
         with pytest.raises(InvariantError, match=message):
             tree_from_signature(PartitionSetSignature(s, parts))
-    for message in ("incompatible set", "distinct", "different label set"):
+    for message, parts in cases.items():
         with pytest.raises(InvariantError, match=message):
-            PartitionSetSignature.of(s, cases[message])
+            PartitionSetSignature.of(s, parts)
+    # The constructor puts the partitions in the canonical order itself.
     ordered = PartitionSetSignature(s, (a, TwoPartition(s, 0b110000)))
+    given_high_first = PartitionSetSignature(s, (TwoPartition(s, 0b110000), a))
+    assert given_high_first == ordered
+    assert given_high_first.partitions == (a, TwoPartition(s, 0b110000))
     assert tree_from_signature(ordered) == tree_from_signature(reversed(ordered.partitions), s)
     with pytest.raises(InvariantError, match="signature is over a different label set"):
         tree_from_signature(ordered, LabelSet.numbered(7))
@@ -707,7 +732,7 @@ def eager_curve_trees(s):
         ]
         for chosen in product(*options):
             masks = [m for group in chosen for m in group]
-            out.append(trees_module._from_cut_masks(s, masks))
+            out.append(StableTree(s, masks))
     return out
 
 
