@@ -13,6 +13,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .partitions import (
     DistinguishedPartition,
+    InternalCheckError,
     InvariantError,
     LabelSet,
     TwoPartition,
@@ -257,7 +258,8 @@ def _rank_bounds(m: IntersectionMatrix) -> tuple[int, int]:
         _check_internal(_degree(r1234, 1, pi) == 0, "a Keel relation pairs nonzero with a curve class")
     lower = 0
     for b, pi in _lead_classes(m):
-        _check_internal(max(_p_masks(pi) + _n_masks(pi)) == b, f"{pi.literal()} does not lead at its row")
+        if max(_p_masks(pi) + _n_masks(pi)) != b:
+            raise InternalCheckError(f"{pi.literal()} does not lead at its row")
         lower += 1
     pairs = [sigma.part_b_mask for sigma in m.rows if sigma.part_b_mask.bit_count() == 2]
     minor = [[_keel(k, l, b) for b in pairs] for k, l in _basis_pairs(n)]

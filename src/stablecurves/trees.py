@@ -58,11 +58,12 @@ class StableTree(_Record):
     """A stable tree, stored as its family of edge cuts.
 
     The constructor takes each cut as either of its sides, as a bitmask,
-    in any order.  ``cuts`` holds, for every edge, the side that avoids the
-    smallest label; the masks are sorted as integers, so structural
-    equality coincides with isomorphism over the same label set.  The
-    constructor does not check that the cuts are distinct and laminar:
-    :func:`make_tree` and :func:`tree_from_signature` do.
+    in any order, repeated or not, and keeps each cut once.  ``cuts``
+    holds, for every edge, the side that avoids the smallest label; the
+    masks are sorted as integers, so structural equality coincides with
+    isomorphism over the same label set.  The constructor does not check
+    that the cuts are laminar: :func:`make_tree` and
+    :func:`tree_from_signature` do.
 
     ``vertex_tails`` and ``edges`` are derived from the cuts on first use,
     in the canonical numbering the module docstring describes.
@@ -74,7 +75,7 @@ class StableTree(_Record):
     def __init__(self, label_set: LabelSet, cuts: Iterable[int]) -> None:
         full = label_set.full_mask
         object.__setattr__(self, "label_set", label_set)
-        object.__setattr__(self, "cuts", tuple(sorted(m ^ full if m & 1 else m for m in cuts)))
+        object.__setattr__(self, "cuts", tuple(sorted({m ^ full if m & 1 else m for m in cuts})))
 
     @cached_property
     def _layout(self) -> tuple[
@@ -315,19 +316,17 @@ def tree_from_signature(
     A plain iterable of 2-partitions is accepted too.  Either is validated;
     ``s`` is only required when it cannot be read off a signature element.
     """
-    if isinstance(sig, PartitionSetSignature):
-        if s is not None and s != sig.label_set:
-            raise InvariantError("signature is over a different label set")
-        _check_signature(sig.label_set, sig.partitions)
-        resolved = sig
-    else:
+    if not isinstance(sig, PartitionSetSignature):
         parts = tuple(sig)
         if s is None:
             if not parts:
                 raise InvariantError("label set required for an empty signature")
             s = parts[0].label_set
-        resolved = PartitionSetSignature.of(s, parts)
-    return StableTree(resolved.label_set, [p.part_b_mask for p in resolved.partitions])
+        sig = PartitionSetSignature(s, parts)
+    elif s is not None and s != sig.label_set:
+        raise InvariantError("signature is over a different label set")
+    _check_signature(sig.label_set, sig.partitions)
+    return StableTree(sig.label_set, [p.part_b_mask for p in sig.partitions])
 
 
 def contract_edge(t: StableTree, e: Sequence[int]) -> StableTree:
@@ -352,18 +351,14 @@ def forget_and_stabilize(t: StableTree, q: Iterable) -> StableTree:
     kept = bits_of(keep_mask)
     new_s = LabelSet(tuple(s.labels[i] for i in kept))
     full = new_s.full_mask
-    cuts = set()
+    cuts = []
     for m in t.cuts:
         r = 0
         for new_bit, old_bit in enumerate(kept):
             if m >> old_bit & 1:
                 r |= 1 << new_bit
-        # Oriented before the set drops repeats: two cuts can restrict to
-        # the two sides of one cut.
-        if r & 1:
-            r ^= full
         if r.bit_count() >= 2 and (full ^ r).bit_count() >= 2:
-            cuts.add(r)
+            cuts.append(r)
     return StableTree(new_s, cuts)
 
 
@@ -402,49 +397,38 @@ def pi_of_tree(t: StableTree) -> DistinguishedPartition:
     return DistinguishedPartition(t.label_set, blocks)
 
 
-def _rooted_binary_families(mask: int) -> tuple[tuple[int, ...], ...]:
-    """All internal cut families of rooted trivalent trees with tail set ``mask``.
-
-    Each family lists the label sets hanging below the internal edges; the
-    count is the double factorial (2k - 3)!! for k set bits.  The families
-    are those of :func:`_local_binary_families` for k, with local bit i moved
-    to the i-th set bit of ``mask``.  That move keeps the numeric order of
-    submasks, so the order of the families is the order of the per-mask
-    recursion.
-    """
-    deposit = [0]  # local submask -> the same submask in the bits of ``mask``
-    for bit in bits_of(mask):
-        step = 1 << bit
-        deposit += [d | step for d in deposit]
-    return tuple(
-        tuple(deposit[m] for m in fam) for fam in _local_binary_families(mask.bit_count())
-    )
-
-
 @lru_cache(maxsize=None)
-def _local_binary_families(k: int) -> tuple[tuple[int, ...], ...]:
-    """The families of :func:`_rooted_binary_families` on the tails 0..k-1.
+def _local_hanging(k: int) -> tuple[tuple[int, ...], ...]:
+    """The ways the tails 0..k-1 hang below an edge, for k >= 2, each as its cuts.
 
-    One memo entry per block size serves every block of k labels.  The
-    root splits the tails into the side holding tail 0 and the other side,
-    which runs over the submasks of tails 1..k-1 in ascending order, and
-    each side hangs below the root as :func:`_hanging` says.
+    Each way starts with the block's own cut and goes on with the cuts of
+    a rooted trivalent tree on its tails; there are (2k - 3)!! ways.  One
+    memo entry per block size serves every block of k labels.  The root
+    splits the tails into the side holding tail 0 and the other side, which
+    runs over the submasks of tails 1..k-1 in ascending order, and each
+    side hangs below the root as :func:`_hanging` says.
     """
     full = (1 << k) - 1
     return tuple(
-        x + y for b in range(2, full, 2) for x in _hanging(full ^ b) for y in _hanging(b)
+        (full,) + x + y for b in range(2, full, 2) for x in _hanging(full ^ b) for y in _hanging(b)
     )
 
 
 def _hanging(mask: int) -> tuple[tuple[int, ...], ...]:
     """The ways the labels of ``mask`` hang below an edge, each as its cuts.
 
-    A side of at least two labels hangs by its own cut, followed by a rooted
-    trivalent family on its labels; a single label hangs with no cut.
+    A single label hangs with no cut.  A larger block hangs as
+    :func:`_local_hanging` says for its size, with local bit i moved to the
+    i-th set bit of ``mask``.  That move keeps the numeric order of
+    submasks, so the ways come in the order of the per-mask recursion.
     """
-    if mask & (mask - 1):
-        return tuple((mask,) + fam for fam in _rooted_binary_families(mask))
-    return ((),)
+    if not mask & (mask - 1):
+        return ((),)
+    deposit = [0]  # local submask -> the same submask in the bits of ``mask``
+    for bit in bits_of(mask):
+        step = 1 << bit
+        deposit += [d | step for d in deposit]
+    return tuple(tuple(deposit[m] for m in way) for way in _local_hanging(mask.bit_count()))
 
 
 def _class_size(shape: Iterable[int]) -> int:

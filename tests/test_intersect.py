@@ -519,6 +519,15 @@ def test_sparse_rank_rejects_a_lead_class_built_for_another_row(monkeypatch):
         matrix_rank(intersection_matrix(LabelSet.numbered(6)))
 
 
+def test_a_passing_rank_formats_no_lead_class(monkeypatch):
+    # The lead check builds its message only when a class fails it.
+    literal = DistinguishedPartition.literal
+    formatted = []
+    monkeypatch.setattr(DistinguishedPartition, "literal", lambda pi: formatted.append(pi) or literal(pi))
+    assert matrix_rank(intersection_matrix(LabelSet.numbered(8))) == picard_rank(8)
+    assert formatted == []
+
+
 def test_sparse_rank_rejects_a_corrupted_relation(monkeypatch):
     # Part b = {3, 4} is a +1 row of R(1, 2, 3, 4); count it twice.
     keel = intersect._keel

@@ -451,6 +451,17 @@ def test_constructors_canonicalise_shuffled_cuts_given_by_either_side():
                 assert PartitionSetSignature(s, parts) == sig
 
 
+def test_constructor_keeps_a_repeated_cut_once():
+    # {3,4} as 12, or by its other side 51: a repeat must not become an edge.
+    s = LabelSet.numbered(6)
+    single = StableTree(s, (12,))
+    for cuts in [(12, 12), (12, 51), (51, 12, 12)]:
+        built = StableTree(s, cuts)
+        assert built == single
+        assert built.cuts == (12,)
+        assert (built.vertex_tails, built.edges) == (single.vertex_tails, single.edges)
+
+
 def test_tree_from_signature_rejects_crossing():
     s = LabelSet.numbered(6)
     sig = [TwoPartition.of(s, [2, 3]), TwoPartition.of(s, [3, 4])]
@@ -711,11 +722,11 @@ def test_rooted_binary_families_match_the_per_mask_recursion():
     # too many to keep twice in a unit test.
     for mask in range(1 << 9):
         if 2 <= mask.bit_count() <= 7:
-            assert trees_module._rooted_binary_families(mask) == families_by_mask(mask)
+            assert trees_module._hanging(mask) == tuple((mask,) + f for f in families_by_mask(mask))
 
 
 def test_family_memo_holds_one_entry_per_block_size():
-    memo = trees_module._local_binary_families
+    memo = trees_module._local_hanging
     memo.cache_clear()
     run_census(LabelSet.numbered(8))
     assert memo.cache_info().currsize <= 8 - 3
