@@ -119,13 +119,13 @@ def run_census(s: LabelSet, max_n: int | None = None) -> CensusReport:
                 first_degree = type_minus_k.setdefault(key, degree)
                 _check_internal(first_degree == degree, "type mixes degrees")
             bucket[key] = bucket.get(key, 0) + 1
-        curves = sum(bucket.values())
-        _check_internal(curves == _class_size(pi.shape), "class tree count disagrees with its closed form")
+        shape = pi.shape
+        _check_internal(sum(bucket.values()) == _class_size(shape), "class tree count disagrees with its closed form")
         type_counts.update(bucket)
         breakdown = tuple(sorted(bucket.items()))
-        shape_breakdown, _ = shape_first.setdefault(pi.shape, (breakdown, degree))
+        shape_breakdown, _ = shape_first.setdefault(shape, (breakdown, degree))
         _check_internal(shape_breakdown == breakdown, "shape mixes breakdowns")
-        shape_walked[pi.shape] += 1
+        shape_walked[shape] += 1
 
     counts = _shape_counts(s.n)
     _check_internal(shape_walked == counts, "class count per shape disagrees with its closed form")

@@ -403,10 +403,10 @@ def _local_hanging(k: int) -> tuple[tuple[int, ...], ...]:
 
     Each way starts with the block's own cut and goes on with the cuts of
     a rooted trivalent tree on its tails; there are (2k - 3)!! ways.  One
-    memo entry per block size serves every block of k labels.  The root
-    splits the tails into the side holding tail 0 and the other side, which
-    runs over the submasks of tails 1..k-1 in ascending order, and each
-    side hangs below the root as :func:`_hanging` says.
+    memo entry per block size serves every block of k labels, read in place.
+    The root splits the tails into the side holding tail 0 and the other
+    side, which runs over the submasks of tails 1..k-1 in ascending order,
+    and each side hangs below the root as :func:`_hanging` says.
     """
     full = (1 << k) - 1
     return tuple(
@@ -414,21 +414,25 @@ def _local_hanging(k: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
+def _deposit(mask: int) -> list[int]:
+    """Local submask -> the same submask in the bits of ``mask``, in numeric order."""
+    table = [0]
+    for bit in bits_of(mask):
+        table += [d | 1 << bit for d in table]
+    return table
+
+
 def _hanging(mask: int) -> tuple[tuple[int, ...], ...]:
     """The ways the labels of ``mask`` hang below an edge, each as its cuts.
 
     A single label hangs with no cut.  A larger block hangs as
-    :func:`_local_hanging` says for its size, with local bit i moved to the
-    i-th set bit of ``mask``.  That move keeps the numeric order of
-    submasks, so the ways come in the order of the per-mask recursion.
+    :func:`_local_hanging` says for its size, moved by :func:`_deposit`, in
+    the per-mask recursion's order.  Only the memo build needs this copy.
     """
     if not mask & (mask - 1):
         return ((),)
-    deposit = [0]  # local submask -> the same submask in the bits of ``mask``
-    for bit in bits_of(mask):
-        step = 1 << bit
-        deposit += [d | step for d in deposit]
-    return tuple(tuple(deposit[m] for m in way) for way in _local_hanging(mask.bit_count()))
+    table = _deposit(mask)
+    return tuple(tuple(table[m] for m in way) for way in _local_hanging(mask.bit_count()))
 
 
 def _class_size(shape: Iterable[int]) -> int:
@@ -442,9 +446,15 @@ def _class_size(shape: Iterable[int]) -> int:
 
 
 def _curve_trees_in_class(pi: DistinguishedPartition) -> Iterator[StableTree]:
-    """Every curve tree whose 4-flag vertex reads off ``pi``, one at a time."""
-    for chosen in product(*map(_hanging, pi.block_masks)):
-        yield StableTree(pi.label_set, [m for group in chosen for m in group])
+    """Every curve tree whose 4-flag vertex reads off ``pi``, one at a time.
+
+    Each block of 2 or more labels takes its ways from the memo and deposits
+    them as the tree is built, in :func:`_hanging` order, with no copy.
+    """
+    blocks = [m for m in pi.block_masks if m & (m - 1)]
+    tables = [_deposit(m) for m in blocks]
+    for chosen in product(*(_local_hanging(m.bit_count()) for m in blocks)):
+        yield StableTree(pi.label_set, [t[m] for t, way in zip(tables, chosen) for m in way])
 
 
 class CurveTrees(_LazySequence):

@@ -353,9 +353,10 @@ def test_census_rejects_a_short_class_under_optimize():
 
 def test_census_heap_in_a_fresh_interpreter():
     # The census holds the current class, one class bucket, one breakdown
-    # per shape and one family memo entry per block size: about 0.4 MiB.  The
-    # materialised class list added 0.3 MiB, and a breakdown dict per
-    # class with a family memo entry per block mask peaked at 1.7 MiB.
+    # per shape and one family memo entry per block size: 0.39 MiB.  A copy
+    # of each block's family remapped to its bits per class peaked at
+    # 0.69 MiB, the materialised class list added 0.3 MiB, and a breakdown
+    # dict per class with a family memo entry per block mask peaked at 1.7 MiB.
     script = (
         "import tracemalloc\n"
         "from stablecurves import LabelSet, run_census\n"

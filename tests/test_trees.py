@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 from collections.abc import Sequence
 from functools import lru_cache
 from itertools import combinations, product
@@ -16,6 +17,7 @@ import pytest
 
 from stablecurves import (
     CurveTrees,
+    DistinguishedPartition,
     InternalCheckError,
     InvariantError,
     LabelSet,
@@ -730,6 +732,23 @@ def test_family_memo_holds_one_entry_per_block_size():
     memo.cache_clear()
     run_census(LabelSet.numbered(8))
     assert memo.cache_info().currsize <= 8 - 3
+
+
+def test_a_class_walk_holds_no_copy_of_the_memo():
+    # The walk deposits each memo way onto the block's bits as it builds a
+    # tree.  Remapping the 10,395 ways of the 7-label block first peaked at
+    # 0.97 MiB; the deposit tables and one tree peak at about 0.006 MiB.
+    trees_module._local_hanging(7)
+    s = LabelSet.numbered(10)
+    pi = DistinguishedPartition(s, (1, 2, 4, s.full_mask ^ 7))
+    tracemalloc.start()
+    try:
+        walked = sum(1 for _ in trees_module._curve_trees_in_class(pi))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert walked == 10_395
+    assert peak / 2**20 < 0.1
 
 
 def eager_curve_trees(s):
