@@ -130,7 +130,7 @@ def run_census(s: LabelSet, max_n: int | None = None) -> CensusReport:
     counts = _shape_counts(s.n)
     _check_internal(shape_walked == counts, "class count per shape disagrees with its closed form")
     names = _n7_type_names() if s.n == 7 else {}
-    types = tuple(
+    types = tuple([
         TypeRecord(
             type_key=key,
             name=names.get(key),
@@ -139,11 +139,11 @@ def run_census(s: LabelSet, max_n: int | None = None) -> CensusReport:
             minus_k=type_minus_k[key],
         )
         for key in sorted(type_counts, key=lambda k: (-type_counts[k], k))
-    )
-    records = tuple(
+    ])
+    records = tuple([
         ClassShapeRecord(shape, count, _class_size(shape), *shape_first[shape])
         for shape, count in counts.items()
-    )
+    ])
     return CensusReport(
         n=s.n,
         types=types,

@@ -160,7 +160,7 @@ class IntersectionMatrix(_Record):
                 cells[start[b] + c] = 1
             for b in _n_masks(pi):
                 cells[start[b] + c] = -1
-        return tuple(tuple(cells[i : i + width]) for i in range(0, len(cells), width))
+        return tuple([tuple(cells[i : i + width]) for i in range(0, len(cells), width)])
 
     def to_tsv(self) -> str:
         """Tab-separated table with a header row of column block shapes."""

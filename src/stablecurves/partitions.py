@@ -176,7 +176,7 @@ class LabelSet(_Record):
         return mask
 
     def labels_of(self, mask: int) -> tuple:
-        return tuple(self.labels[i] for i in bits_of(mask))
+        return tuple([self.labels[i] for i in bits_of(mask)])
 
 
 def format_blocks(label_set: LabelSet, masks: Iterable[int]) -> str:
@@ -293,7 +293,7 @@ class DistinguishedPartition(_Record):
 
     @property
     def blocks(self) -> tuple:
-        return tuple(self.label_set.labels_of(m) for m in self.block_masks)
+        return tuple([self.label_set.labels_of(m) for m in self.block_masks])
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -349,7 +349,7 @@ def _p_masks(pi: DistinguishedPartition) -> tuple[int, int, int]:
 def _n_masks(pi: DistinguishedPartition) -> tuple[int, ...]:
     """Part-b masks of the N-set: one part a single block of at least 2 labels."""
     full = pi.label_set.full_mask
-    return tuple(m ^ full if m & 1 else m for m in pi.block_masks if m.bit_count() >= 2)
+    return tuple([m ^ full if m & 1 else m for m in pi.block_masks if m.bit_count() >= 2])
 
 
 def p_set(pi: DistinguishedPartition) -> tuple[TwoPartition, ...]:
@@ -358,7 +358,7 @@ def p_set(pi: DistinguishedPartition) -> tuple[TwoPartition, ...]:
     Each part is a union of exactly two blocks.  Ordered by which block
     joins the first one.
     """
-    return tuple(TwoPartition(pi.label_set, m) for m in _p_masks(pi))
+    return tuple([TwoPartition(pi.label_set, m) for m in _p_masks(pi)])
 
 
 def n_set(pi: DistinguishedPartition) -> tuple[TwoPartition, ...]:
@@ -367,7 +367,7 @@ def n_set(pi: DistinguishedPartition) -> tuple[TwoPartition, ...]:
     Only blocks with at least two labels qualify, so the result is empty
     when all four blocks are singletons.
     """
-    return tuple(TwoPartition(pi.label_set, m) for m in _n_masks(pi))
+    return tuple([TwoPartition(pi.label_set, m) for m in _n_masks(pi)])
 
 
 def reconstruct_from_p(partitions: Iterable[TwoPartition]) -> DistinguishedPartition:

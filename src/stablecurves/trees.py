@@ -119,7 +119,7 @@ class StableTree(_Record):
                 neighbours.append([v])
                 sides.append(c)
             vertex_tails.append(m & ~inner)
-        return tuple(vertex_tails), tuple(edges), tuple(sides), tuple(map(tuple, neighbours))
+        return tuple(vertex_tails), tuple(edges), tuple(sides), tuple([tuple(a) for a in neighbours])
 
     @property
     def vertex_tails(self) -> tuple[int, ...]:
@@ -349,7 +349,7 @@ def forget_and_stabilize(t: StableTree, q: Iterable) -> StableTree:
     if keep_mask.bit_count() < 3:
         raise InvariantError("remaining label set too small: need at least 3 labels")
     kept = bits_of(keep_mask)
-    new_s = LabelSet(tuple(s.labels[i] for i in kept))
+    new_s = LabelSet(s.labels_of(keep_mask))
     full = new_s.full_mask
     cuts = []
     for m in t.cuts:
@@ -409,9 +409,11 @@ def _local_hanging(k: int) -> tuple[tuple[int, ...], ...]:
     and each side hangs below the root as :func:`_hanging` says.
     """
     full = (1 << k) - 1
-    return tuple(
-        (full,) + x + y for b in range(2, full, 2) for x in _hanging(full ^ b) for y in _hanging(b)
-    )
+    ways = []
+    for b in range(2, full, 2):
+        ys = _hanging(b)
+        ways += [(full,) + x + y for x in _hanging(full ^ b) for y in ys]
+    return tuple(ways)
 
 
 def _deposit(mask: int) -> list[int]:
@@ -432,7 +434,7 @@ def _hanging(mask: int) -> tuple[tuple[int, ...], ...]:
     if not mask & (mask - 1):
         return ((),)
     table = _deposit(mask)
-    return tuple(tuple(table[m] for m in way) for way in _local_hanging(mask.bit_count()))
+    return tuple([tuple([table[m] for m in way]) for way in _local_hanging(mask.bit_count())])
 
 
 def _class_size(shape: Iterable[int]) -> int:
@@ -453,7 +455,7 @@ def _curve_trees_in_class(pi: DistinguishedPartition) -> Iterator[StableTree]:
     """
     blocks = [m for m in pi.block_masks if m & (m - 1)]
     tables = [_deposit(m) for m in blocks]
-    for chosen in product(*(_local_hanging(m.bit_count()) for m in blocks)):
+    for chosen in product(*[_local_hanging(m.bit_count()) for m in blocks]):
         yield StableTree(pi.label_set, [t[m] for t, way in zip(tables, chosen) for m in way])
 
 

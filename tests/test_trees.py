@@ -727,6 +727,25 @@ def test_rooted_binary_families_match_the_per_mask_recursion():
             assert trees_module._hanging(mask) == tuple((mask,) + f for f in families_by_mask(mask))
 
 
+def test_the_family_memo_hangs_each_side_once_per_split(monkeypatch):
+    # Size k splits its tails 2**(k-1) - 1 ways at the root and hangs both
+    # sides once per split: 494 calls fill k <= 8, where hanging the second
+    # side again for every way of the first made 105,536.
+    hanging = trees_module._hanging
+    calls = []
+    monkeypatch.setattr(trees_module, "_hanging", lambda mask: calls.append(mask) or hanging(mask))
+    memo = trees_module._local_hanging
+    memo.cache_clear()
+    try:
+        for k in range(2, 9):
+            before = len(calls)
+            memo(k)
+            assert len(calls) - before == 2 * (2 ** (k - 1) - 1)
+    finally:
+        memo.cache_clear()
+    assert len(calls) == 494
+
+
 def test_family_memo_holds_one_entry_per_block_size():
     memo = trees_module._local_hanging
     memo.cache_clear()
