@@ -26,10 +26,11 @@ from .partitions import (
     enumerate_distinguished,
     enumerate_stable_two_partitions,
 )
-from .trees import StableTree, pi_of_tree
 
 if TYPE_CHECKING:
     from fractions import Fraction
+
+    from .trees import StableTree
 
 __all__ = [
     "IntersectionMatrix",
@@ -105,14 +106,22 @@ def minus_k_divisor_coefficients(s: LabelSet, max_n: int | None = None) -> dict[
     }
 
 
+def pi_of_tree(t: StableTree) -> DistinguishedPartition:
+    # Imports ``trees`` on first use only; bench/spans.py patches this name.
+    from .trees import pi_of_tree
+
+    return pi_of_tree(t)
+
+
 def minus_k_expanded(pi_or_tree: DistinguishedPartition | StableTree) -> int:
     """Anticanonical degree recomputed through the divisor expansion.
 
     Sums the coefficients 2 - j(n - j)/(n - 1) over the divisors meeting
     the curve class, by :func:`_degree`.  A curve tree is accepted and
-    reduced to its 4-block partition first.
+    reduced to its 4-block partition first; ``trees`` is imported only
+    when a tree is passed.
     """
-    pi = pi_of_tree(pi_or_tree) if isinstance(pi_or_tree, StableTree) else pi_or_tree
+    pi = pi_or_tree if isinstance(pi_or_tree, DistinguishedPartition) else pi_of_tree(pi_or_tree)
     _require_labels(pi.label_set, 5)
     n = pi.label_set.n
     return _degree(lambda b: _minus_k_numerator(n, b), n - 1, pi)

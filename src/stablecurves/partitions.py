@@ -474,26 +474,28 @@ class _DistinguishedPartitions(_Record, _LazySequence):
 
     def __iter__(self) -> Iterator[DistinguishedPartition]:
         s = self.label_set
-        n = s.n
-        blocks = [1, 0, 0, 0]
+        return _restricted_growth(s, s.n, [1, 0, 0, 0], 1, 1)
 
-        def extend(i: int, used: int) -> Iterator[DistinguishedPartition]:
-            if n - i < 4 - used:
-                return
-            if i == n:
-                yield DistinguishedPartition(s, tuple(blocks))
-                return
-            bit = 1 << i
-            for j in range(used):
-                blocks[j] |= bit
-                yield from extend(i + 1, used)
-                blocks[j] ^= bit
-            if used < 4:
-                blocks[used] |= bit
-                yield from extend(i + 1, used + 1)
-                blocks[used] ^= bit
 
-        return extend(1, 1)
+def _restricted_growth(
+    s: LabelSet, n: int, blocks: list[int], i: int, used: int
+) -> Iterator[DistinguishedPartition]:
+    # Module-level, not a closure: a self-referencing closure would leave a
+    # reference cycle behind on every pass.
+    if n - i < 4 - used:
+        return
+    if i == n:
+        yield DistinguishedPartition(s, tuple(blocks))
+        return
+    bit = 1 << i
+    for j in range(used):
+        blocks[j] |= bit
+        yield from _restricted_growth(s, n, blocks, i + 1, used)
+        blocks[j] ^= bit
+    if used < 4:
+        blocks[used] |= bit
+        yield from _restricted_growth(s, n, blocks, i + 1, used + 1)
+        blocks[used] ^= bit
 
 
 def enumerate_distinguished(

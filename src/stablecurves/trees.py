@@ -506,22 +506,25 @@ def enumerate_trees(s: LabelSet, codim: int, max_n: int | None = None) -> list[S
         return [StableTree(s, ())]
     cands = [p.part_b_mask for p in enumerate_stable_two_partitions(s, max_n=max_n)]
     out: list[StableTree] = []
-    chosen: list[int] = []
-
-    def extend(start: int) -> None:
-        if len(chosen) == codim:
-            out.append(StableTree(s, chosen))
-            return
-        need = codim - len(chosen)
-        for i in range(start, len(cands) - need + 1):
-            c = cands[i]
-            if all(_masks_compatible(c, o) for o in chosen):
-                chosen.append(c)
-                extend(i + 1)
-                chosen.pop()
-
-    extend(0)
+    _extend_trees(s, cands, codim, [], out, 0)
     return out
+
+
+def _extend_trees(
+    s: LabelSet, cands: list[int], codim: int, chosen: list[int], out: list[StableTree], start: int
+) -> None:
+    # Module-level for the reason :func:`_shape_code` gives: as a closure it
+    # would hold ``out`` in a reference cycle after the caller drops it.
+    if len(chosen) == codim:
+        out.append(StableTree(s, chosen))
+        return
+    need = codim - len(chosen)
+    for i in range(start, len(cands) - need + 1):
+        c = cands[i]
+        if all(_masks_compatible(c, o) for o in chosen):
+            chosen.append(c)
+            _extend_trees(s, cands, codim, chosen, out, i + 1)
+            chosen.pop()
 
 
 def _centroids(t: StableTree) -> list[int]:

@@ -618,18 +618,22 @@ MAIN = "runpy.run_module('stablecurves', run_name='__main__')"
 
 # (code, arguments, the package's modules it loads besides the package).
 CLI = {"cli", "partitions"}
-PAIRINGS = {*CLI, "trees", "intersect"}
+PAIRINGS = {*CLI, "intersect"}
 ENTRY_POINTS = [
     ("import stablecurves", [], set()),
     ("import stablecurves.cli", [], CLI),
     ("from stablecurves import cli", [], CLI),
+    ("import stablecurves.intersect", [], {"partitions", "intersect"}),
     (MAIN, ["--version"], CLI),
     (MAIN, ["--help"], CLI),
     (MAIN, ["tree", "--action", "pi", "--tree", "[1,2];[3,4,5]/0-1"], {*CLI, "trees"}),
     (MAIN, ["pair", "--sigma", "12|345", "--pi", "1|2|3|45"], PAIRINGS),
     (MAIN, ["minus-k", "--pi", "1|2|3|45"], PAIRINGS),
+    (MAIN, ["minus-k", "--pi", "1|2|3|45", "--route", "expanded"], PAIRINGS),
     (MAIN, ["matrix", "--n", "5"], PAIRINGS),
-    (MAIN, ["census", "--n", "5"], {*PAIRINGS, "census"}),
+    (MAIN, ["matrix", "--n", "5", "--action", "emit"], PAIRINGS),
+    (MAIN, ["matrix", "--n", "5", "--action", "emit", "--format", "tsv"], PAIRINGS),
+    (MAIN, ["census", "--n", "5"], {*PAIRINGS, "trees", "census"}),
 ]
 
 
@@ -685,21 +689,48 @@ def test_package_attributes_load_on_first_use():
 
 
 def test_cli_forwarders_match_their_layer_functions():
-    # ``cli.run_census``, ``cli.intersection_matrix`` and ``cli.matrix_rank``
-    # only forward to the layer functions of the same names.
+    # ``cli.run_census``, ``cli.intersection_matrix``, ``cli.matrix_rank`` and
+    # ``intersect.pi_of_tree`` only forward to the layer functions of the
+    # same names.
     import inspect
 
-    from stablecurves import census, cli, intersect
+    from stablecurves import census, cli, intersect, trees
 
     def parameters(fn):
         return [(p.name, p.kind, p.default) for p in inspect.signature(fn).parameters.values()]
 
-    for layer, name in [
-        (census, "run_census"),
-        (intersect, "intersection_matrix"),
-        (intersect, "matrix_rank"),
+    for forwarder, layer, name in [
+        (cli, census, "run_census"),
+        (cli, intersect, "intersection_matrix"),
+        (cli, intersect, "matrix_rank"),
+        (intersect, trees, "pi_of_tree"),
     ]:
-        assert parameters(getattr(cli, name)) == parameters(getattr(layer, name)), name
+        assert parameters(getattr(forwarder, name)) == parameters(getattr(layer, name)), name
+
+
+def test_intersect_forwards_pi_of_tree_to_trees():
+    from stablecurves import intersect, trees
+
+    curve_trees = trees.enumerate_curve_trees(LabelSet.numbered(6))
+    assert len(curve_trees) == 105
+    for t in curve_trees:
+        assert intersect.pi_of_tree(t) == trees.pi_of_tree(t)
+
+
+def test_pairings_run_without_the_trees_layer():
+    got = fresh(
+        "import json, sys\n"
+        "from stablecurves.intersect import (\n"
+        "    intersection_matrix, matrix_rank, minus_k_expanded, pair_divisor_curve)\n"
+        "from stablecurves.partitions import DistinguishedPartition, LabelSet, TwoPartition\n"
+        "s = LabelSet.numbered(7)\n"
+        "pi = DistinguishedPartition.of(s, [[1], [2], [3], [4, 5, 6, 7]])\n"
+        "sigma = TwoPartition.of(s, [1, 2])\n"
+        "answers = [matrix_rank(intersection_matrix(s)), pair_divisor_curve(sigma, pi),\n"
+        "           minus_k_expanded(pi)]\n"
+        "print(json.dumps([answers, 'stablecurves.trees' in sys.modules]))\n"
+    )
+    assert got == [[42, 1, 1], False]
 
 
 def test_one_version():

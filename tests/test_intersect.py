@@ -44,6 +44,7 @@ from stablecurves import (
     pi_of_tree,
     picard_rank,
     signature,
+    tree_from_signature,
     virtual_dimension,
 )
 from stablecurves import intersect
@@ -229,6 +230,13 @@ def test_minus_k_expanded_accepts_curve_tree():
     s = LabelSet.numbered(6)
     for tree in enumerate_curve_trees(s)[:20]:
         assert minus_k_expanded(tree) == minus_k_closed(pi_of_tree(tree))
+
+
+def test_minus_k_expanded_rejects_a_tree_that_is_not_a_curve_tree():
+    s = LabelSet.numbered(6)
+    divisor_tree = tree_from_signature([TwoPartition.of(s, [1, 2])])
+    with pytest.raises(InvariantError, match="^not a curve tree: expected 2 edges, got 1$"):
+        minus_k_expanded(divisor_tree)
 
 
 def test_minus_k_expanded_rejects_n4():

@@ -6,6 +6,7 @@ raw subset enumeration, independent of the bitmask implementation.
 
 from __future__ import annotations
 
+import gc
 import random
 import re
 import time
@@ -273,6 +274,22 @@ def test_distinguished_stream_indexes_and_slices_like_a_list():
     for start, stop in ((41, None), (0, 40), (-20, None)):
         with pytest.raises(ValueError):
             classes.index(walked[40], start, stop)
+
+
+def test_a_distinguished_pass_leaves_no_reference_cycle():
+    # The restricted-growth recursion is a module function: as a
+    # self-referencing closure it left one cycle behind on every pass.
+    classes = enumerate_distinguished(LabelSet.numbered(7))
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for _ in range(3):
+            assert sum(1 for _ in classes) == 350
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_distinguished_streams_compare_by_label_set():

@@ -6,9 +6,11 @@ plain reachability, never through the canonical bitmask representation.
 
 from __future__ import annotations
 
+import gc
 import math
 import random
 import tracemalloc
+import weakref
 from collections.abc import Sequence
 from functools import lru_cache
 from itertools import combinations, product
@@ -768,6 +770,22 @@ def test_a_class_walk_holds_no_copy_of_the_memo():
         tracemalloc.stop()
     assert walked == 10_395
     assert peak / 2**20 < 0.1
+
+
+def test_enumerated_trees_are_freed_by_reference_counting():
+    # The recursion is a module function: as a self-referencing closure over
+    # the output list it held all 190,575 trees at n = 9, codim 4 (about
+    # 33 MiB) in a cycle until a full collection.
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        out = enumerate_trees(LabelSet.numbered(7), 2)
+        first = weakref.ref(out[0])
+        del out
+        assert first() is None
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def eager_curve_trees(s):
