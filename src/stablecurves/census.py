@@ -19,10 +19,9 @@ from __future__ import annotations
 from collections import Counter
 from itertools import groupby
 
+from ._base import _Record, _check_internal
 from .partitions import (
     LabelSet,
-    _Record,
-    _check_internal,
     _format_shape,
     _require_bound,
     _require_labels,

@@ -11,14 +11,11 @@ from __future__ import annotations
 from functools import cached_property, partial
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
+from ._base import InternalCheckError, InvariantError, _Record, _check_internal
 from .partitions import (
     DistinguishedPartition,
-    InternalCheckError,
-    InvariantError,
     LabelSet,
     TwoPartition,
-    _Record,
-    _check_internal,
     _format_shape,
     _n_masks,
     _p_masks,

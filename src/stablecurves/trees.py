@@ -16,20 +16,15 @@ from functools import cached_property, lru_cache
 from itertools import combinations, product
 from typing import Iterable, Iterator, Sequence
 
+from ._base import InvariantError, _LazySequence, _Record, _check_internal, _low_bit, bits_of
 from .partitions import (
     DistinguishedPartition,
-    InvariantError,
     LabelSet,
     TwoPartition,
-    _LazySequence,
-    _Record,
-    _check_internal,
-    _low_bit,
     _masks_compatible,
     _require_bound,
     _require_labels,
     _shape_counts,
-    bits_of,
     enumerate_distinguished,
     enumerate_stable_two_partitions,
     partition_sort_key,

@@ -24,13 +24,8 @@ from stablecurves import (
     signature,
     tree_from_signature,
 )
-from stablecurves.cli import (
-    ENV_MAX_N,
-    main,
-    parse_distinguished,
-    parse_forget_set,
-    parse_two_partition,
-)
+from stablecurves.cli import ENV_MAX_N, main
+from stablecurves.literals import parse_distinguished, parse_forget_set, parse_two_partition
 
 
 EXPECTED = Path(__file__).parent / "expected"
@@ -509,6 +504,9 @@ def test_tree_parse_error_on_bad_edge(capsys):
     assert code == 2
 
 
+TWO_DIGIT_TREE = "[1,2,3,4,5,6,7,8,9];[10];[11,12]/0-1,1-2"
+
+
 @pytest.mark.parametrize(
     "argv, code, message",
     [
@@ -553,6 +551,33 @@ def test_tree_parse_error_on_bad_edge(capsys):
             ("tree", "--action", "pi", "--tree", "[1,2];[3,²]/0-1"),
             3,
             "not a curve tree: expected 0 edges, got 1",
+        ),
+        # A number is a decimal token, in every literal: ``int`` would also
+        # read ``1_0`` as 10 and ``+1`` as 1.
+        (
+            ("tree", "--action", "forget", "--tree", TWO_DIGIT_TREE, "--forget-set", "1_0"),
+            2,
+            "forget set '1_0' must use the tree's numeric labels",
+        ),
+        (
+            ("tree", "--action", "forget", "--tree", TWO_DIGIT_TREE, "--forget-set", "+1"),
+            2,
+            "forget set '+1' must use the tree's numeric labels",
+        ),
+        (
+            ("tree", "--action", "forget", "--tree", TWO_DIGIT_TREE, "--forget-set", "2,+1"),
+            2,
+            "forget set '2,+1' must use the tree's numeric labels",
+        ),
+        (
+            ("tree", "--action", "contract", "--tree", TWO_DIGIT_TREE, "--edge", "+1-2"),
+            2,
+            "edge '+1-2' must name two vertex indices",
+        ),
+        (
+            ("tree", "--action", "signature", "--tree", "[1,2];[3,4,5]/0-1_0"),
+            2,
+            "edge '0-1_0' must name two vertex indices",
         ),
     ],
 )
@@ -617,19 +642,20 @@ LOADED = (
 MAIN = "runpy.run_module('stablecurves', run_name='__main__')"
 
 # (code, arguments, the package's modules it loads besides the package).
-CLI = {"cli", "partitions"}
+CLI = {"_base", "cli", "partitions"}
 PAIRINGS = {*CLI, "intersect"}
+READ_PI = {*PAIRINGS, "literals"}
 ENTRY_POINTS = [
     ("import stablecurves", [], set()),
     ("import stablecurves.cli", [], CLI),
     ("from stablecurves import cli", [], CLI),
-    ("import stablecurves.intersect", [], {"partitions", "intersect"}),
+    ("import stablecurves.intersect", [], {"_base", "partitions", "intersect"}),
     (MAIN, ["--version"], CLI),
     (MAIN, ["--help"], CLI),
-    (MAIN, ["tree", "--action", "pi", "--tree", "[1,2];[3,4,5]/0-1"], {*CLI, "trees"}),
-    (MAIN, ["pair", "--sigma", "12|345", "--pi", "1|2|3|45"], PAIRINGS),
-    (MAIN, ["minus-k", "--pi", "1|2|3|45"], PAIRINGS),
-    (MAIN, ["minus-k", "--pi", "1|2|3|45", "--route", "expanded"], PAIRINGS),
+    (MAIN, ["tree", "--action", "pi", "--tree", "[1,2];[3,4,5]/0-1"], {*CLI, "literals", "trees"}),
+    (MAIN, ["pair", "--sigma", "12|345", "--pi", "1|2|3|45"], READ_PI),
+    (MAIN, ["minus-k", "--pi", "1|2|3|45"], READ_PI),
+    (MAIN, ["minus-k", "--pi", "1|2|3|45", "--route", "expanded"], READ_PI),
     (MAIN, ["matrix", "--n", "5"], PAIRINGS),
     (MAIN, ["matrix", "--n", "5", "--action", "emit"], PAIRINGS),
     (MAIN, ["matrix", "--n", "5", "--action", "emit", "--format", "tsv"], PAIRINGS),
@@ -649,6 +675,28 @@ def test_cli_import_loads_no_introspection_modules():
         package = {m for m in loaded if m.startswith("stablecurves")}
         assert package == {"stablecurves", *(f"stablecurves.{m}" for m in layers)}, argv
         assert not loaded & heavy, argv
+
+
+# Without bytecode caches each module is compiled as it loads, and the
+# compiler holds the module's whole token list and syntax tree at once, so
+# the largest module a command loads sets about 1 MiB of its peak.  AST
+# nodes measure that cost alike on every supported Python.
+MAX_AST_NODES = 2300
+
+
+def test_rank_path_compiles_only_small_modules():
+    import ast
+    import importlib.util
+
+    out = run_python("-c", LOADED + MAIN, "matrix", "--n", "5", "--action", "rank")
+    assert out.returncode == 0, out.stderr
+    loaded = [m for m in out.stderr.decode().splitlines()[-1].split() if m.startswith("stablecurves")]
+    nodes = {}
+    for name in loaded:
+        source = Path(importlib.util.find_spec(name).origin).read_text(encoding="utf-8")
+        nodes[name] = sum(1 for _ in ast.walk(ast.parse(source)))
+    assert {"stablecurves.cli", "stablecurves.partitions", "stablecurves.intersect"} <= set(nodes)
+    assert max(nodes.values()) <= MAX_AST_NODES, nodes
 
 
 def fresh(code: str):

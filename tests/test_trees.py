@@ -45,7 +45,7 @@ from stablecurves import (
     unlabeled_type_key,
 )
 from stablecurves import trees as trees_module
-from stablecurves.cli import parse_tree_literal
+from stablecurves.literals import parse_tree_literal
 
 
 # ---------------------------------------------------------------- oracles
