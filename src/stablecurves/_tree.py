@@ -1,0 +1,338 @@
+"""The stable tree and its single-tree surgeries.
+
+A stable tree carries the labels as tails on its vertices; every vertex has
+at least three flags (tails plus edge ends).  Cutting any edge splits the
+labels into a stable 2-partition, and the set of these cuts determines the
+tree up to isomorphism.  A tree is therefore stored as its cut family, and
+its vertices and edges are derived from it in one canonical numbering per
+isomorphism class: vertex 0 holds the smallest label and the rest follow in
+breadth-first order, each edge stored as (parent, child).
+
+This private module holds the tree, its raw intake and the surgery on one
+tree; :mod:`stablecurves.trees` re-exports its public names.
+"""
+
+from __future__ import annotations
+
+from functools import cached_property
+from itertools import combinations
+from typing import Iterable, Sequence
+
+from ._base import InvariantError, _Record, _low_bit, bits_of
+from .partitions import LabelSet, TwoPartition, _masks_compatible, partition_sort_key
+
+
+class StableTree(_Record):
+    """A stable tree, stored as its family of edge cuts.
+
+    The constructor takes each cut as either of its sides, as a bitmask,
+    in any order, repeated or not, and keeps each cut once.  ``cuts``
+    holds, for every edge, the side that avoids the smallest label; the
+    masks are sorted as integers, so structural equality coincides with
+    isomorphism over the same label set.  The constructor does not check
+    that the cuts are laminar: :func:`make_tree` and
+    :func:`tree_from_signature` do.
+
+    ``vertex_tails`` and ``edges`` are derived from the cuts on first use,
+    in the canonical numbering the module docstring describes.
+    """
+
+    label_set: LabelSet
+    cuts: tuple[int, ...]
+
+    def __init__(self, label_set: LabelSet, cuts: Iterable[int]) -> None:
+        full = label_set.full_mask
+        object.__setattr__(self, "label_set", label_set)
+        object.__setattr__(self, "cuts", tuple(sorted({m ^ full if m & 1 else m for m in cuts})))
+
+    @cached_property
+    def _layout(self) -> tuple[
+        tuple[int, ...], tuple[tuple[int, int], ...], tuple[int, ...], tuple[tuple[int, ...], ...]
+    ]:
+        """Per canonical vertex: its tails, the (parent, child) edges, its side, its neighbours.
+
+        The side of vertex v is the set of labels at or below it, away from
+        vertex 0: every label for vertex 0, and the cut of edge k for vertex
+        k + 1, the child of that edge.
+        """
+        # Parent of a cut is its smallest proper superset in the family.  In
+        # ascending order the cuts still without a parent are pairwise
+        # disjoint, and a later cut that meets one of them contains it, as a
+        # superset has the larger value.  So each cut adopts the parentless
+        # cuts it meets, and those left at the end hang from vertex 0.
+        kids: dict[int, list[int]] = {}
+        top: list[int] = []
+        for y in self.cuts:
+            adopted: list[int] = []
+            parentless = [y]
+            for x in top:
+                (adopted if x & y else parentless).append(x)
+            kids[y] = adopted
+            top = parentless
+        kids[self.label_set.full_mask] = top
+
+        # Breadth-first from vertex 0: the list of sides grows while it is
+        # read, and vertex v is the one with side sides[v].
+        sides = [self.label_set.full_mask]
+        vertex_tails: list[int] = []
+        edges: list[tuple[int, int]] = []
+        neighbours: list[list[int]] = [[]]
+        for v, m in enumerate(sides):
+            inner = 0
+            for c in sorted(kids[m], key=_low_bit):
+                inner |= c
+                child = len(sides)
+                edges.append((v, child))
+                neighbours[v].append(child)
+                neighbours.append([v])
+                sides.append(c)
+            vertex_tails.append(m & ~inner)
+        return tuple(vertex_tails), tuple(edges), tuple(sides), tuple([tuple(a) for a in neighbours])
+
+    @property
+    def vertex_tails(self) -> tuple[int, ...]:
+        return self._layout[0]
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        return self._layout[1]
+
+    @property
+    def n_vertices(self) -> int:
+        return len(self.cuts) + 1
+
+    @property
+    def codimension(self) -> int:
+        return len(self.cuts)
+
+    def tails_at(self, v: int) -> tuple:
+        return self.label_set.labels_of(self.vertex_tails[v])
+
+
+class PartitionSetSignature(_Record):
+    """A set of pairwise compatible, distinct stable 2-partitions.
+
+    The constructor takes the partitions in any order and stores them
+    sorted in the canonical partition order.  Two stable trees are
+    isomorphic exactly when their signatures are equal.  The constructor
+    checks nothing else; :meth:`of` and :func:`tree_from_signature` do.
+    """
+
+    label_set: LabelSet
+    partitions: tuple[TwoPartition, ...]
+
+    def __init__(self, label_set: LabelSet, partitions: Iterable[TwoPartition]) -> None:
+        object.__setattr__(self, "label_set", label_set)
+        object.__setattr__(self, "partitions", tuple(sorted(partitions, key=partition_sort_key)))
+
+    @classmethod
+    def of(cls, label_set: LabelSet, partitions: Iterable[TwoPartition]) -> "PartitionSetSignature":
+        sig = cls(label_set, _two_partitions(partitions))
+        _check_signature(label_set, sig.partitions)
+        return sig
+
+
+def _two_partitions(parts: Iterable) -> tuple[TwoPartition, ...]:
+    """``parts`` as a tuple, any element that is not a 2-partition refused before it is read."""
+    parts = tuple(parts)
+    for p in parts:
+        if not isinstance(p, TwoPartition):
+            raise InvariantError(f"signature element {p!r} is not a 2-partition")
+    return parts
+
+
+def _check_signature(s: LabelSet, parts: Sequence[TwoPartition]) -> None:
+    """Refuse anything but distinct, pairwise compatible cuts of ``s``."""
+    if any(p.label_set != s for p in parts):
+        raise InvariantError("signature element over a different label set")
+    if len({p.part_b_mask for p in parts}) != len(parts):
+        raise InvariantError("signature elements must be distinct")
+    for x, y in combinations(parts, 2):
+        if not _masks_compatible(x.part_b_mask, y.part_b_mask):
+            raise InvariantError(f"incompatible set: {x.literal()} crosses {y.literal()}")
+
+
+def _intake(
+    vertex_tails: Sequence[Iterable], edges: Sequence[Sequence[int]], s: LabelSet
+) -> tuple[list[str], list[int]]:
+    """Every violation of a raw tree description, and the cut of each input edge.
+
+    The cuts are given only when there are no violations, in the caller's
+    edge order, each as the union of the tails on the side of its edge
+    away from vertex 0, whichever way round the caller wrote the edge.
+    """
+    nv = len(vertex_tails)
+    if nv == 0:
+        return ["not a tree: no vertices"], []
+
+    problems: list[str] = []
+    pairs: list[tuple] = []
+    adj: list[list[int]] = [[] for _ in range(nv)]
+    for e in edges:
+        pair = tuple(e)
+        pairs.append(pair)
+        if len(pair) != 2 or not all(isinstance(i, int) for i in pair):
+            problems.append(f"not a tree: malformed edge {pair!r}")
+            continue
+        i, j = pair
+        if not (0 <= i < nv and 0 <= j < nv):
+            problems.append(f"not a tree: edge ({i}, {j}) names a missing vertex")
+            continue
+        if i == j:
+            problems.append(f"not a tree: self-loop at vertex {i}")
+            continue
+        if j in adj[i]:
+            problems.append(f"not a tree: duplicate edge ({i}, {j})")
+        adj[i].append(j)
+        adj[j].append(i)
+
+    # Breadth-first from vertex 0, each vertex entered once, so the walk
+    # ends on input with cycles too.  The parent of vertex 0 is -1, that
+    # of an unreached vertex None.
+    structural_ok = not problems
+    parent: list[int | None] = [-1] + [None] * (nv - 1)
+    order = [0]
+    if structural_ok:
+        if len(pairs) != nv - 1:
+            problems.append(
+                f"not a tree: {nv} vertices need {nv - 1} edges, got {len(pairs)}"
+            )
+        else:
+            for v in order:
+                for w in adj[v]:
+                    if parent[w] is None:
+                        parent[w] = v
+                        order.append(w)
+            if len(order) != nv:
+                problems.append("not a tree: graph is disconnected")
+
+    # Tails are counted by occurrence: a label repeated at one vertex is
+    # reported as a repeat only, not also as a vertex short of flags.
+    seen_labels: dict = {}
+    tail_counts = [0] * nv
+    below = [0] * nv  # tails of each vertex, then of its subtree below vertex 0
+    for v, tails in enumerate(vertex_tails):
+        for token in tails:
+            if token not in s.labels:
+                problems.append(f"label coverage: unknown label {token!r}")
+                continue
+            if token in seen_labels:
+                problems.append(f"label coverage: label {token!r} appears more than once")
+            seen_labels[token] = v
+            tail_counts[v] += 1
+            below[v] |= 1 << s.labels.index(token)
+    for token in s.labels:
+        if token not in seen_labels:
+            problems.append(f"label coverage: missing label {token!r}")
+
+    if structural_ok:
+        for v in range(nv):
+            flags = len(adj[v]) + tail_counts[v]
+            if flags < 3:
+                problems.append(f"unstable vertex {v}: only {flags} flags")
+    if problems:
+        return problems, []
+    for v in reversed(order[1:]):
+        below[parent[v]] |= below[v]
+    return problems, [below[j] if parent[j] == i else below[i] for i, j in pairs]
+
+
+def tree_violations(
+    vertex_tails: Sequence[Iterable], edges: Sequence[Sequence[int]], s: LabelSet
+) -> list[str]:
+    """Every invariant violated by a raw tree description, as messages.
+
+    An empty list means the description is a valid stable tree.
+    """
+    return _intake(vertex_tails, edges, s)[0]
+
+
+def make_tree(
+    vertex_tails: Sequence[Iterable], edges: Sequence[Sequence[int]], s: LabelSet
+) -> StableTree:
+    """Validate a raw description and return the canonical stable tree.
+
+    Raises :class:`InvariantError` listing every violated invariant when the
+    description is not a stable tree over ``s``.
+    """
+    problems, cuts = _intake(list(vertex_tails), list(edges), s)
+    if problems:
+        raise InvariantError("; ".join(problems))
+    return StableTree(s, cuts)
+
+
+def edge_cut(t: StableTree, e: Sequence[int]) -> TwoPartition:
+    """The stable 2-partition obtained by cutting edge ``e`` of ``t``.
+
+    ``e`` is a pair of canonical vertex indices in either order.
+    """
+    pair = tuple(e)
+    if len(pair) != 2 or not all(isinstance(i, int) for i in pair):
+        raise InvariantError(f"malformed edge {pair!r}")
+    i, j = pair
+    _, edges, sides, _ = t._layout
+    # Canonical edge k is (parent, k + 1), and its cut is its child's side.
+    child = max(i, j)
+    if 0 < child <= len(edges) and edges[child - 1] == (min(i, j), child):
+        return TwoPartition(t.label_set, sides[child])
+    raise InvariantError(f"unknown edge ({i}, {j})")
+
+
+def signature(t: StableTree) -> PartitionSetSignature:
+    """The set of edge cuts of ``t``, the complete isomorphism invariant."""
+    return PartitionSetSignature(t.label_set, [TwoPartition(t.label_set, m) for m in t.cuts])
+
+
+def tree_from_signature(
+    sig: PartitionSetSignature | Iterable[TwoPartition],
+    s: LabelSet | None = None,
+) -> StableTree:
+    """Rebuild the unique stable tree whose edge cuts are ``sig``.
+
+    A plain iterable of 2-partitions is accepted too.  Either is validated;
+    ``s`` is only required when it cannot be read off a signature element.
+    """
+    if not isinstance(sig, PartitionSetSignature):
+        parts = _two_partitions(sig)
+        if s is None:
+            if not parts:
+                raise InvariantError("label set required for an empty signature")
+            s = parts[0].label_set
+        sig = PartitionSetSignature(s, parts)
+    elif s is not None and s != sig.label_set:
+        raise InvariantError("signature is over a different label set")
+    _check_signature(sig.label_set, sig.partitions)
+    return StableTree(sig.label_set, [p.part_b_mask for p in sig.partitions])
+
+
+def contract_edge(t: StableTree, e: Sequence[int]) -> StableTree:
+    """The tree with edge ``e`` contracted (its endpoints merged)."""
+    cut = edge_cut(t, e).part_b_mask
+    return StableTree(t.label_set, [m for m in t.cuts if m != cut])
+
+
+def forget_and_stabilize(t: StableTree, q: Iterable) -> StableTree:
+    """Remove the labels in ``q`` and restabilize.
+
+    Every cut is restricted to the kept labels, and the restrictions that
+    are still stable 2-partitions are the cuts of the result; this is the
+    same as smoothing away bare vertices of degree two and merging
+    degree-one vertices into their neighbors.  At least three labels must
+    stay.
+    """
+    s = t.label_set
+    keep_mask = s.full_mask ^ s.mask_of(q)
+    if keep_mask.bit_count() < 3:
+        raise InvariantError("remaining label set too small: need at least 3 labels")
+    kept = bits_of(keep_mask)
+    new_s = LabelSet(s.labels_of(keep_mask))
+    full = new_s.full_mask
+    cuts = []
+    for m in t.cuts:
+        r = 0
+        for new_bit, old_bit in enumerate(kept):
+            if m >> old_bit & 1:
+                r |= 1 << new_bit
+        if r.bit_count() >= 2 and (full ^ r).bit_count() >= 2:
+            cuts.append(r)
+    return StableTree(new_s, cuts)

@@ -203,7 +203,7 @@ def _cmd_matrix(args: argparse.Namespace) -> tuple[str, int]:
 
 def _cmd_tree(args: argparse.Namespace) -> tuple[str, int]:
     from .literals import parse_edge, parse_forget_set, parse_tree_literal
-    from .trees import StableTree, _intake, forget_and_stabilize, pi_of_tree, signature
+    from ._tree import StableTree, _intake, forget_and_stabilize, signature
 
     parameters = {"action": args.action, "tree": args.tree}
     try:
@@ -249,6 +249,8 @@ def _cmd_tree(args: argparse.Namespace) -> tuple[str, int]:
             "labels": list(reduced.label_set.labels),
         }
     elif args.action == "pi":
+        from .trees import pi_of_tree
+
         pi = pi_of_tree(t)
         result = {
             "pi": pi.literal(),

@@ -9,6 +9,7 @@ from __future__ import annotations
 import gc
 import math
 import random
+import re
 import tracemalloc
 import weakref
 from collections.abc import Sequence
@@ -355,6 +356,18 @@ def test_edge_cut_unknown_edge():
         edge_cut(t, (0, 2))
 
 
+def test_edge_cut_names_non_integer_ends_malformed():
+    # "01" unpacks to the ends "0" and "1", which are not vertex indices,
+    # though (0, 1) is a real edge of the tree.
+    s = LabelSet.numbered(5)
+    t = make_tree([[1, 2], [3, 4, 5]], [(0, 1)], s)
+    for e in ("01", (0, "1"), (0.0, 1)):
+        with pytest.raises(InvariantError, match=re.escape(f"malformed edge {tuple(e)!r}")):
+            edge_cut(t, e)
+    with pytest.raises(InvariantError, match=re.escape("malformed edge ('0', '1')")):
+        contract_edge(t, "01")
+
+
 def test_edge_cut_looks_up_only_real_edges():
     # Canonical trees from shuffled raw descriptions: a real edge, named
     # either way round, cuts off what reachability on the raw input finds;
@@ -374,7 +387,7 @@ def test_edge_cut_looks_up_only_real_edges():
                 else:
                     with pytest.raises(InvariantError, match=f"unknown edge \\({i}, {j}\\)"):
                         edge_cut(t, (i, j))
-            with pytest.raises(InvariantError, match="unknown edge"):
+            with pytest.raises(InvariantError, match=re.escape("malformed edge ('a', 0)")):
                 edge_cut(t, ("a", 0))
             with pytest.raises(InvariantError, match="malformed edge"):
                 edge_cut(t, (0, 1, 2))
@@ -504,6 +517,18 @@ def test_tree_from_signature_checks_a_constructed_signature():
         tree_from_signature(ordered, LabelSet.numbered(7))
     with pytest.raises(InvariantError, match="label set required for an empty signature"):
         tree_from_signature([])
+
+
+def test_signature_refuses_elements_that_are_not_two_partitions():
+    s = LabelSet.numbered(6)
+    with pytest.raises(InvariantError, match="signature element 1 is not a 2-partition"):
+        PartitionSetSignature.of(s, [1, 2])
+    with pytest.raises(InvariantError, match="signature element 1 is not a 2-partition"):
+        tree_from_signature([1, 2])
+    with pytest.raises(InvariantError, match=re.escape("element '12|3456' is not a 2-partition")):
+        tree_from_signature(["12|3456"], s)
+    with pytest.raises(InvariantError, match="signature element None is not a 2-partition"):
+        tree_from_signature([TwoPartition.of(s, [1, 2]), None], s)
 
 
 def test_signature_roundtrip_all_trees_small():
