@@ -12,6 +12,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import nullcontext
+from itertools import islice
 from typing import Sequence
 
 from . import __version__
@@ -54,21 +56,6 @@ def _tree_payload(t) -> dict:
         "vertices": [list(t.tails_at(v)) for v in range(t.n_vertices)],
         "edges": [list(e) for e in t.edges],
     }
-
-
-def _envelope(command: str, parameters: dict, result: dict) -> dict:
-    return {
-        "command": command,
-        "parameters": parameters,
-        "result": result,
-        "version": __version__,
-    }
-
-
-def _dump(envelope: dict) -> str:
-    import json
-
-    return json.dumps(envelope, indent=2, sort_keys=True) + "\n"
 
 
 def _census_payload(report) -> dict:
@@ -131,7 +118,7 @@ def _admit_n(args: argparse.Namespace, minimum: int) -> int:
     return bound
 
 
-def _cmd_census(args: argparse.Namespace) -> tuple[str, int]:
+def _cmd_census(args: argparse.Namespace) -> tuple[str | tuple[dict, dict], int]:
     from .census import render_table
 
     bound = _admit_n(args, 4)
@@ -141,10 +128,10 @@ def _cmd_census(args: argparse.Namespace) -> tuple[str, int]:
     if args.format == "table":
         return render_table(report), EXIT_OK
     parameters = {"n": args.n, "format": args.format, "max_n": bound}
-    return _dump(_envelope("census", parameters, _census_payload(report))), EXIT_OK
+    return (parameters, _census_payload(report)), EXIT_OK
 
 
-def _cmd_pair(args: argparse.Namespace) -> tuple[str, int]:
+def _cmd_pair(args: argparse.Namespace) -> tuple[str | tuple[dict, dict], int]:
     from .intersect import pair_divisor_curve
     from .literals import parse_distinguished, parse_two_partition
 
@@ -154,10 +141,10 @@ def _cmd_pair(args: argparse.Namespace) -> tuple[str, int]:
     kind = {1: "P-member", -1: "N-member", 0: "neither"}[value]
     parameters = {"sigma": args.sigma, "pi": args.pi}
     result = {"pairing": value, "classification": kind}
-    return _dump(_envelope("pair", parameters, result)), EXIT_OK
+    return (parameters, result), EXIT_OK
 
 
-def _cmd_minus_k(args: argparse.Namespace) -> tuple[str, int]:
+def _cmd_minus_k(args: argparse.Namespace) -> tuple[str | tuple[dict, dict], int]:
     from .intersect import minus_k_closed, minus_k_expanded
     from .literals import parse_distinguished
 
@@ -173,10 +160,10 @@ def _cmd_minus_k(args: argparse.Namespace) -> tuple[str, int]:
         )
         result["equal"] = True
     parameters = {"pi": args.pi, "route": args.route}
-    return _dump(_envelope("minus-k", parameters, result)), EXIT_OK
+    return (parameters, result), EXIT_OK
 
 
-def _cmd_matrix(args: argparse.Namespace) -> tuple[str, int]:
+def _cmd_matrix(args: argparse.Namespace) -> tuple[str | tuple[dict, dict], int]:
     from .intersect import picard_rank
 
     if args.action == "rank" and args.format == "tsv":
@@ -187,7 +174,7 @@ def _cmd_matrix(args: argparse.Namespace) -> tuple[str, int]:
         if args.format == "tsv":
             return m.to_tsv(), EXIT_OK
         parameters = {"n": args.n, "action": "emit", "format": args.format, "max_n": bound}
-        return _dump(_envelope("matrix", parameters, m.to_object())), EXIT_OK
+        return (parameters, m.to_object()), EXIT_OK
     rank = matrix_rank(m)
     expected = picard_rank(args.n)
     result = {
@@ -198,10 +185,10 @@ def _cmd_matrix(args: argparse.Namespace) -> tuple[str, int]:
         "verdict": "equal" if rank == expected else "unequal",
     }
     parameters = {"n": args.n, "action": "rank", "max_n": bound}
-    return _dump(_envelope("matrix", parameters, result)), EXIT_OK
+    return (parameters, result), EXIT_OK
 
 
-def _cmd_tree(args: argparse.Namespace) -> tuple[str, int]:
+def _cmd_tree(args: argparse.Namespace) -> tuple[str | tuple[dict, dict], int]:
     from .literals import parse_edge, parse_forget_set, parse_tree_literal
     from ._tree import StableTree, _intake, forget_and_stabilize, signature
 
@@ -218,8 +205,7 @@ def _cmd_tree(args: argparse.Namespace) -> tuple[str, int]:
         problems, cuts = _intake(tails, edges, s)
     if args.action == "validate":
         result = {"valid": not problems, "violations": problems}
-        text = _dump(_envelope("tree", parameters, result))
-        return text, (EXIT_OK if not problems else EXIT_INVARIANT)
+        return (parameters, result), (EXIT_OK if not problems else EXIT_INVARIANT)
     if problems:
         raise InvariantError("; ".join(problems))
     t = StableTree(s, cuts)
@@ -248,7 +234,7 @@ def _cmd_tree(args: argparse.Namespace) -> tuple[str, int]:
             "tree": _tree_payload(reduced),
             "labels": list(reduced.label_set.labels),
         }
-    elif args.action == "pi":
+    else:  # pi
         from .trees import pi_of_tree
 
         pi = pi_of_tree(t)
@@ -257,9 +243,21 @@ def _cmd_tree(args: argparse.Namespace) -> tuple[str, int]:
             "blocks": [list(b) for b in pi.blocks],
             "shape": list(pi.shape),
         }
-    else:  # pragma: no cover - argparse restricts the choices
-        raise ParseError(f"unknown tree action {args.action!r}")
-    return _dump(_envelope("tree", parameters, result)), EXIT_OK
+    return (parameters, result), EXIT_OK
+
+
+def _write(fh, output: str | tuple[dict, dict], command: str) -> None:
+    """Write text, or the envelope of a (parameters, result) pair in batches of chunks."""
+    if isinstance(output, tuple):
+        from json import JSONEncoder
+
+        parameters, result = output
+        envelope = dict(command=command, parameters=parameters, result=result, version=__version__)
+        chunks = JSONEncoder(indent=2, sort_keys=True).iterencode(envelope)
+        while batch := list(islice(chunks, 4096)):
+            fh.write("".join(batch))
+        output = "\n"
+    fh.write(output)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -315,25 +313,27 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        text, code = args.run(args)
-    except ParseError as exc:
+        output, code = args.run(args)
+    except (ParseError, InvariantError) as exc:
         print(f"stablecurves: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except InvariantError as exc:
-        print(f"stablecurves: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
+        return EXIT_USAGE if isinstance(exc, ParseError) else EXIT_INVARIANT
     except AssertionError as exc:
         print(f"stablecurves: internal assertion failed: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    if args.output is None:
-        sys.stdout.write(text)
-        return code
+    # The result is whole before the destination opens: a failed command leaves --output alone.
+    to_file = args.output is not None
     try:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(args.output, "w", encoding="utf-8") if to_file else nullcontext(sys.stdout) as fh:
+            _write(fh, output, args.command)
+            fh.flush()
     except OSError as exc:
-        print(f"stablecurves: cannot write {args.output}: {exc.strerror}", file=sys.stderr)
-        return EXIT_USAGE
+        if to_file:
+            print(f"stablecurves: cannot write {args.output}: {exc.strerror}", file=sys.stderr)
+            return EXIT_USAGE
+        if not isinstance(exc, BrokenPipeError):
+            raise
+        # The reader closed stdout early (``| head``): keep the flush at exit from failing again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

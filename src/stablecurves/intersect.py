@@ -177,12 +177,12 @@ class IntersectionMatrix(_Record):
         return "\n".join(lines) + "\n"
 
     def to_object(self) -> dict:
-        """Plain-data form for structured serialization."""
+        """Plain-data form for structured serialization; ``entries`` is the tuple of rows."""
         return {
             "row_keys": [sigma.literal() for sigma in self.rows],
             "col_keys": [pi.literal() for pi in self.cols],
             "col_shapes": [_format_shape(c.shape) for c in self.cols],
-            "entries": [list(row) for row in self.entries],
+            "entries": self.entries,
         }
 
 

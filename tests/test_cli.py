@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import random
@@ -82,6 +83,78 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys, where):
     assert out == ""
     assert err.startswith(f"stablecurves: cannot write {target}: ")
     assert "Traceback" not in err
+
+
+# The emitted pairing tables, pinned byte for byte.
+EMIT_SHA256 = {
+    (5, "json"): "45584a631af1c80e52ccea5bf6eee429189b9b46d7f2f469aa6c76de222c195d",
+    (5, "tsv"): "5ff77693c1cc9c2bcd8a7808d9158ea509b0041c36373628691fc0f05b1f2d65",
+    (6, "json"): "edecb53d294b0ac55ba708bc7993e798deeac13988b8e73b64bb709c947071a3",
+    (6, "tsv"): "1d88a6b586cf310e9e70dfcbe6ab800712cd3669a5c2d4c2fcae3f3f5f857366",
+    (7, "json"): "d835dd28ee4b0d4ea05d95ae411f5faef7996bec71cf183784712bb509db9497",
+    (7, "tsv"): "f81a2cb62eb35bfeaf824d2a45736e9303b5c177a8b957f57e9dec4caa0f9a09",
+}
+
+
+@pytest.mark.parametrize("n, fmt", sorted(EMIT_SHA256))
+def test_matrix_emit_bytes_are_pinned(capsys, tmp_path, n, fmt):
+    argv = ("matrix", "--n", str(n), "--action", "emit", "--format", fmt)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == EMIT_SHA256[n, fmt]
+    target = tmp_path / "emit"
+    assert run(capsys, *argv, "--output", str(target)) == (0, "", "")
+    assert target.read_text(encoding="utf-8") == out
+
+
+def test_matrix_emit_streams_its_envelope(tmp_path):
+    # The envelope is encoded chunk by chunk into the destination, so no
+    # copy of the 2.3 MB text, nor a list copy of the table, is ever held.
+    script = (
+        "import json, sys, tracemalloc\n"
+        "import stablecurves.cli, stablecurves.intersect\n"
+        "tracemalloc.start()\n"
+        "argv = ['matrix', '--n', '8', '--action', 'emit', '--output', sys.argv[1]]\n"
+        "code = stablecurves.cli.main(argv)\n"
+        "print(json.dumps([code, tracemalloc.get_traced_memory()[1]]))\n"
+    )
+    done = run_python("-c", script, str(tmp_path / "emit.json"))
+    assert done.returncode == 0, done.stderr
+    code, peak = json.loads(done.stdout)
+    assert code == 0
+    assert peak < 4 * 2**20
+
+
+def test_closed_stdout_ends_the_command_quietly():
+    # A reader that stops early, as ``| head`` does, ends the command with
+    # its own exit code and nothing on stderr.
+    done = subprocess.Popen(
+        [sys.executable, "-m", "stablecurves", "matrix", "--n", "8", "--action", "emit"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=python_env(),
+    )
+    assert done.stdout.read(16) == b'{\n  "command": "'
+    done.stdout.close()
+    assert done.stderr.read() == b""
+    done.stderr.close()
+    assert done.wait(timeout=120) == 0
+
+
+def test_failed_command_leaves_the_output_file_alone(tmp_path, capsys):
+    target = tmp_path / "emit.json"
+    target.write_bytes(b"earlier contents\n")
+    code, out, err = run(capsys, "matrix", "--n", "4", "--action", "emit", "--output", str(target))
+    assert (code, out) == (2, "")
+    assert err == "stablecurves: --n must be at least 5, got 4\n"
+    assert target.read_bytes() == b"earlier contents\n"
+    # An invalid tree is a result: validate writes its envelope, then exits 3.
+    argv = ("tree", "--action", "validate", "--tree", "[1];[2]/0-1")
+    code, out, _ = run(capsys, *argv)
+    assert code == 3
+    assert run(capsys, *argv, "--output", str(target)) == (3, "", "")
+    assert target.read_text(encoding="utf-8") == out
+    assert json.loads(out)["result"]["valid"] is False
 
 
 # --------------------------------------------------------------- census
@@ -607,11 +680,16 @@ def test_unknown_choice_is_usage_error():
 # ------------------------------------------------- checks under python -O
 
 
-def run_python(*args):
+def python_env():
     src = str(Path(stablecurves.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    return subprocess.run([sys.executable, *args], capture_output=True, env=env, timeout=120)
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def run_python(*args):
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, env=python_env(), timeout=120
+    )
 
 
 def test_census_output_unchanged_under_optimize():
