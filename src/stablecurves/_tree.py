@@ -108,6 +108,13 @@ class StableTree(_Record):
     def tails_at(self, v: int) -> tuple:
         return self.label_set.labels_of(self.vertex_tails[v])
 
+    def to_object(self) -> dict:
+        """Plain-data form: each vertex's tails and each (parent, child) edge, canonically numbered."""
+        return {
+            "vertices": [list(self.tails_at(v)) for v in range(self.n_vertices)],
+            "edges": [list(e) for e in self.edges],
+        }
+
 
 class PartitionSetSignature(_Record):
     """A set of pairwise compatible, distinct stable 2-partitions.

@@ -75,6 +75,46 @@ class CensusReport(_Record):
     total_curves: int
     total_classes: int
 
+    def to_object(self) -> dict:
+        """Plain-data form for structured serialization; each type carries its representative's."""
+        return {
+            "n": self.n,
+            "totals": {"curves": self.total_curves, "classes": self.total_classes},
+            "types": [
+                {
+                    "type_key": t.type_key,
+                    "name": t.name,
+                    "curve_count": t.curve_count,
+                    "minus_k": t.minus_k,
+                    "representative": t.representative.to_object(),
+                }
+                for t in self.types
+            ],
+            "classes": [
+                {
+                    "shape": list(c.shape),
+                    "class_count": c.class_count,
+                    "curves_per_class": c.curves_per_class,
+                    "curves_per_class_by_type": dict(c.curves_per_class_by_type),
+                    "minus_k": c.minus_k,
+                }
+                for c in self.classes
+            ],
+        }
+
+    def to_tsv(self) -> str:
+        """Tab-separated rows of types, then class shapes, then the totals, under one header."""
+        lines = ["kind\tid\tcurve_count\tclass_count\tcurves_per_class\tminus_k"]
+        for t in self.types:
+            lines.append(f"type\t{t.name or t.type_key}\t{t.curve_count}\t\t\t{t.minus_k}")
+        for c in self.classes:
+            lines.append(
+                f"class\t{_format_shape(c.shape)}\t{c.class_count * c.curves_per_class}"
+                f"\t{c.class_count}\t{c.curves_per_class}\t{c.minus_k}"
+            )
+        lines.append(f"total\t\t{self.total_curves}\t{self.total_classes}\t\t")
+        return "\n".join(lines) + "\n"
+
 
 def _n7_type_names() -> dict[str, str]:
     """Type keys of the four documented 7-label representatives.

@@ -1,7 +1,8 @@
-"""Command line front end.
+"""Command line front end: parsing, ``--n`` admission, the one writer.
 
-Every command writes a deterministic JSON envelope (or a plain table for
-the tabular formats): identical inputs produce byte-identical output.
+Each command returns its result rendered by the result's own type, and
+``main`` writes it once: a deterministic JSON envelope, or the text of a
+tabular format.  Identical inputs produce byte-identical output.
 
 Exit codes: 0 success, 2 usage or parse error, 3 invariant violation in
 the input, 4 internal assertion failure.
@@ -18,7 +19,7 @@ from typing import Sequence
 
 from . import __version__
 from ._base import InvariantError, ParseError, _check_internal
-from .partitions import DEFAULT_MAX_N, LabelSet, _format_shape
+from .partitions import DEFAULT_MAX_N, LabelSet
 
 __all__ = ["main", "ParseError"]
 
@@ -51,54 +52,6 @@ def matrix_rank(m):
     return matrix_rank(m)
 
 
-def _tree_payload(t) -> dict:
-    return {
-        "vertices": [list(t.tails_at(v)) for v in range(t.n_vertices)],
-        "edges": [list(e) for e in t.edges],
-    }
-
-
-def _census_payload(report) -> dict:
-    return {
-        "n": report.n,
-        "totals": {"curves": report.total_curves, "classes": report.total_classes},
-        "types": [
-            {
-                "type_key": t.type_key,
-                "name": t.name,
-                "curve_count": t.curve_count,
-                "minus_k": t.minus_k,
-                "representative": _tree_payload(t.representative),
-            }
-            for t in report.types
-        ],
-        "classes": [
-            {
-                "shape": list(c.shape),
-                "class_count": c.class_count,
-                "curves_per_class": c.curves_per_class,
-                "curves_per_class_by_type": dict(c.curves_per_class_by_type),
-                "minus_k": c.minus_k,
-            }
-            for c in report.classes
-        ],
-    }
-
-
-def _census_tsv(report) -> str:
-    lines = ["kind\tid\tcurve_count\tclass_count\tcurves_per_class\tminus_k"]
-    for t in report.types:
-        ident = t.name or t.type_key
-        lines.append(f"type\t{ident}\t{t.curve_count}\t\t\t{t.minus_k}")
-    for c in report.classes:
-        lines.append(
-            f"class\t{_format_shape(c.shape)}\t{c.class_count * c.curves_per_class}"
-            f"\t{c.class_count}\t{c.curves_per_class}\t{c.minus_k}"
-        )
-    lines.append(f"total\t\t{report.total_curves}\t{report.total_classes}\t\t")
-    return "\n".join(lines) + "\n"
-
-
 def _admit_n(args: argparse.Namespace, minimum: int) -> int:
     """Admit ``--n`` from ``minimum`` up to the bound, and return the bound.
 
@@ -124,11 +77,11 @@ def _cmd_census(args: argparse.Namespace) -> tuple[str | tuple[dict, dict], int]
     bound = _admit_n(args, 4)
     report = run_census(LabelSet.numbered(args.n), max_n=bound)
     if args.format == "tsv":
-        return _census_tsv(report), EXIT_OK
+        return report.to_tsv(), EXIT_OK
     if args.format == "table":
         return render_table(report), EXIT_OK
     parameters = {"n": args.n, "format": args.format, "max_n": bound}
-    return (parameters, _census_payload(report)), EXIT_OK
+    return (parameters, report.to_object()), EXIT_OK
 
 
 def _cmd_pair(args: argparse.Namespace) -> tuple[str | tuple[dict, dict], int]:
@@ -223,7 +176,7 @@ def _cmd_tree(args: argparse.Namespace) -> tuple[str | tuple[dict, dict], int]:
             raise InvariantError(f"unknown edge ({i}, {j}) in the input tree")
         contracted = StableTree(s, [c for e, c in zip(edges, cuts) if set(e) != {i, j}])
         parameters["edge"] = args.edge
-        result = {"tree": _tree_payload(contracted)}
+        result = {"tree": contracted.to_object()}
     elif args.action == "forget":
         if args.forget_set is None:
             raise ParseError("--forget-set is required for the forget action")
@@ -231,7 +184,7 @@ def _cmd_tree(args: argparse.Namespace) -> tuple[str | tuple[dict, dict], int]:
         reduced = forget_and_stabilize(t, q)
         parameters["forget_set"] = args.forget_set
         result = {
-            "tree": _tree_payload(reduced),
+            "tree": reduced.to_object(),
             "labels": list(reduced.label_set.labels),
         }
     else:  # pi

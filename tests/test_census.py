@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import json
 import math
 import os
 import subprocess
@@ -272,6 +273,19 @@ def test_render_table_mentions_counts():
     text = render_table(run_census(LabelSet.numbered(6)))
     assert "105" in text and "65" in text
     assert "3+1+1+1" in text and "2+2+1+1" in text
+
+
+EXPECTED = Path(__file__).parent / "expected"
+
+
+def test_census_report_to_tsv_is_the_pinned_table():
+    report = run_census(LabelSet.numbered(7))
+    assert report.to_tsv().encode() == (EXPECTED / "census-n7.tsv").read_bytes()
+
+
+def test_census_report_to_object_is_the_pinned_result():
+    pinned = json.loads((EXPECTED / "census-n7.json").read_text(encoding="utf-8"))
+    assert run_census(LabelSet.numbered(7)).to_object() == pinned["result"]
 
 
 def census_trees_with(monkeypatch, edit):

@@ -246,6 +246,16 @@ def test_make_tree_numbers_vertices_breadth_first_from_the_smallest_label():
                 assert (derived, list(got.edges)) == canonical_layout(tails, edges)
 
 
+def test_to_object_lists_tails_and_edges_in_the_canonical_numbering():
+    t = make_tree([[5, 6], [3, 4], [1, 2]], [(2, 1), (1, 0)], LabelSet.numbered(6))
+    assert t.to_object() == {"vertices": [[1, 2], [3, 4], [5, 6]], "edges": [[0, 1], [1, 2]]}
+    t = make_tree([["a", "b"], ["c", "d"], ["e", "f"]], [(0, 1), (1, 2)], LabelSet.of("abcdef"))
+    assert forget_and_stabilize(t, ["c", "d"]).to_object() == {
+        "vertices": [["a", "b"], ["e", "f"]],
+        "edges": [[0, 1]],
+    }
+
+
 def test_make_tree_rejects_unstable_vertex():
     s = LabelSet.numbered(5)
     with pytest.raises(InvariantError, match="unstable vertex"):
