@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterable, Iterator, Sequence
 
-from ._base import InvariantError, _LazySequence, _check_internal, bits_of
+from ._base import InvariantError, _LazySequence, _Record, _check_internal, bits_of
 from ._tree import (
     PartitionSetSignature,
     StableTree,
@@ -156,31 +156,30 @@ def _curve_trees_in_class(pi: DistinguishedPartition) -> Iterator[StableTree]:
         yield StableTree(pi.label_set, [t[m] for t, way in zip(tables, chosen) for m in way])
 
 
-class CurveTrees(_LazySequence):
+class CurveTrees(_Record, _LazySequence):
     """The curve trees over a label set, built one at a time as they are read.
 
     ``classes`` is the lazy stream of :func:`enumerate_distinguished`, and
-    trees come grouped by their 4-block partition in its order.  The length
-    is the closed-form count, summed over block-size shapes, so it costs no
-    class and no tree; indexing and slicing walk the trees up to the
-    requested position.  Every iteration starts afresh.
+    trees come grouped by their 4-block partition in its order.  Equal, and
+    hashed alike, when the class streams are.  The length is the closed-form
+    count, summed over block-size shapes, so it costs no class and no tree;
+    indexing and slicing walk the trees up to the requested position.  Every
+    iteration starts afresh.
     """
 
-    def __init__(self, classes: Sequence[DistinguishedPartition]):
-        self._classes = classes
-        counts = _shape_counts(classes.label_set.n)
-        self._len = sum(count * _class_size(shape) for shape, count in counts.items())
+    classes: Sequence[DistinguishedPartition]
 
     def __len__(self) -> int:
-        return self._len
+        counts = _shape_counts(self.classes.label_set.n)
+        return sum(count * _class_size(shape) for shape, count in counts.items())
 
     def __iter__(self) -> Iterator[StableTree]:
         produced = 0
-        for pi in self._classes:
+        for pi in self.classes:
             for tree in _curve_trees_in_class(pi):
                 produced += 1
                 yield tree
-        _check_internal(produced == self._len, "curve tree count disagrees with its closed form")
+        _check_internal(produced == len(self), "curve tree count disagrees with its closed form")
 
 
 def enumerate_curve_trees(s: LabelSet, max_n: int | None = None) -> CurveTrees:

@@ -5,8 +5,6 @@ from __future__ import annotations
 import ast
 import json
 import math
-import os
-import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -34,13 +32,7 @@ from stablecurves import (
 )
 from stablecurves import census as census_module
 
-
-def stirling_4(n):
-    row = {(0, 0): 1}
-    for m in range(1, n + 1):
-        for k in range(0, 5):
-            row[(m, k)] = k * row.get((m - 1, k), 0) + row.get((m - 1, k - 1), 0)
-    return row[(n, 4)]
+from _support import run_python, stirling_4
 
 
 def multinomial_classes(n, shape):
@@ -342,13 +334,6 @@ def test_census_rejects_a_shape_with_mixed_breakdowns(monkeypatch):
     monkeypatch.setattr(census_module, "unlabeled_type_key", key_of)
     with pytest.raises(InternalCheckError, match="shape mixes breakdowns"):
         run_census(s)
-
-
-def run_python(*args):
-    src = str(Path(stablecurves.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    return subprocess.run([sys.executable, *args], capture_output=True, env=env, timeout=120)
 
 
 def test_census_rejects_a_short_class_under_optimize():

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import random
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -27,6 +27,8 @@ from stablecurves import (
 )
 from stablecurves.cli import ENV_MAX_N, main
 from stablecurves.literals import parse_distinguished, parse_forget_set, parse_two_partition
+
+from _support import python_env, run_python
 
 
 EXPECTED = Path(__file__).parent / "expected"
@@ -680,18 +682,6 @@ def test_unknown_choice_is_usage_error():
 # ------------------------------------------------- checks under python -O
 
 
-def python_env():
-    src = str(Path(stablecurves.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return dict(os.environ, PYTHONPATH=path)
-
-
-def run_python(*args):
-    return subprocess.run(
-        [sys.executable, *args], capture_output=True, env=python_env(), timeout=120
-    )
-
-
 def test_census_output_unchanged_under_optimize():
     plain = run_python("-m", "stablecurves", "census", "--n", "6")
     optimized = run_python("-O", "-m", "stablecurves", "census", "--n", "6")
@@ -753,11 +743,15 @@ ENTRY_POINTS = [
 ]
 
 
-def loaded_modules(code: str, argv: list[str]) -> set[str]:
-    """The modules that ``code`` run with ``argv`` loads in a fresh interpreter."""
+@lru_cache(maxsize=None)
+def loaded_modules(code: str, *argv: str) -> frozenset[str]:
+    """The modules that ``code`` run with ``argv`` loads in a fresh interpreter.
+
+    Each entry point is launched once per session, whichever test asks first.
+    """
     out = run_python("-c", LOADED + code, *argv)
     assert out.returncode == 0, out.stderr
-    return set(out.stderr.decode().splitlines()[-1].split())
+    return frozenset(out.stderr.decode().splitlines()[-1].split())
 
 
 def test_cli_import_loads_no_introspection_modules():
@@ -766,7 +760,7 @@ def test_cli_import_loads_no_introspection_modules():
     # ``dataclasses`` and ``fractions`` pull in.
     heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "fractions", "decimal", "numbers"}
     for code, argv, layers in ENTRY_POINTS:
-        loaded = loaded_modules(code, argv)
+        loaded = loaded_modules(code, *argv)
         package = {m for m in loaded if m.startswith("stablecurves")}
         assert package == {"stablecurves", *(f"stablecurves.{m}" for m in layers)}, argv
         assert not loaded & heavy, argv
@@ -785,7 +779,7 @@ def test_every_entry_point_compiles_only_small_modules():
 
     nodes = {}
     for code, argv, _ in ENTRY_POINTS:
-        for name in loaded_modules(code, argv):
+        for name in loaded_modules(code, *argv):
             if name.startswith("stablecurves") and name not in nodes:
                 source = Path(importlib.util.find_spec(name).origin).read_text(encoding="utf-8")
                 nodes[name] = sum(1 for _ in ast.walk(ast.parse(source)))

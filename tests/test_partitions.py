@@ -29,6 +29,8 @@ from stablecurves import (
     reconstruct_from_p,
 )
 
+from _support import stirling_4
+
 
 # ---------------------------------------------------------------- oracles
 
@@ -64,15 +66,6 @@ def brute_four_block_partitions(n):
 
     place(2, [{1}])
     return out
-
-
-def stirling_4(n):
-    """Stirling partition number S(n, 4) by the standard recurrence."""
-    row = {(0, 0): 1}
-    for m in range(1, n + 1):
-        for k in range(0, 5):
-            row[(m, k)] = k * row.get((m - 1, k), 0) + row.get((m - 1, k - 1), 0)
-    return row[(n, 4)]
 
 
 def as_pair(sigma):

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import pytest
 
+import stablecurves
 from stablecurves import (
     CensusReport,
     ClassShapeRecord,
+    CurveTrees,
     DistinguishedPartition,
     IntersectionMatrix,
     LabelSet,
@@ -21,6 +23,7 @@ from stablecurves import (
     StableTree,
     TwoPartition,
     TypeRecord,
+    enumerate_curve_trees,
     enumerate_distinguished,
     enumerate_stable_two_partitions,
     intersection_matrix,
@@ -30,6 +33,7 @@ from stablecurves import (
     run_census,
     signature,
 )
+from stablecurves._base import _Record
 from stablecurves.partitions import _DistinguishedPartitions
 
 FIELDS = {
@@ -43,6 +47,7 @@ FIELDS = {
     ClassShapeRecord: ("shape", "class_count", "curves_per_class", "curves_per_class_by_type", "minus_k"),
     CensusReport: ("n", "types", "classes", "total_curves", "total_classes"),
     _DistinguishedPartitions: ("label_set",),
+    CurveTrees: ("classes",),
 }
 
 
@@ -62,10 +67,20 @@ def one_of_each():
         report.classes[0],
         report,
         stream,
+        enumerate_curve_trees(s),
     ]
 
 
 each_record = pytest.mark.parametrize("x", one_of_each(), ids=lambda x: type(x).__name__)
+
+
+def test_every_exported_class_is_a_record():
+    # So the generic tests below cover every class the package exports.
+    exported = [getattr(stablecurves, name) for name in stablecurves.__all__]
+    classes = [x for x in exported if isinstance(x, type) and not issubclass(x, BaseException)]
+    outside = [c.__name__ for c in classes if not issubclass(c, _Record) or c not in FIELDS]
+    assert not outside
+    assert {type(x) for x in one_of_each()} == set(FIELDS)
 
 
 def field_values(x):
