@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import stablecurves
+from stablecurves import compatible, edge_cut, exceptional_vertex, signature
 
 
 def stirling_4(n):
@@ -19,13 +21,40 @@ def stirling_4(n):
     return row[(n, 4)]
 
 
+def as_pair(sigma):
+    return frozenset((frozenset(sigma.part_a), frozenset(sigma.part_b)))
+
+
+def odd_product_class_size(pi):
+    """Curves in the class of ``pi``: 1 * 3 * ... * (2k - 3) for each block of k labels."""
+    return math.prod(math.prod(range(2 * len(b) - 3, 0, -2)) for b in pi.blocks)
+
+
+def pair_via_curve_tree(sigma, tree):
+    """Pairing read off one curve tree instead of the 4-block partition.
+
+    The divisor meets the curve negatively when sigma is a cut at an edge
+    touching the 4-flag vertex, positively when sigma is no cut at all but
+    is compatible with every cut, and not at all otherwise.
+    """
+    cuts = set(signature(tree).partitions)
+    if sigma in cuts:
+        v0 = exceptional_vertex(tree)
+        at_v0 = {edge_cut(tree, e) for e in tree.edges if v0 in e}
+        return -1 if sigma in at_v0 else 0
+    if all(compatible(sigma, c) for c in cuts):
+        return 1
+    return 0
+
+
 def python_env():
     src = str(Path(stablecurves.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return dict(os.environ, PYTHONPATH=path)
 
 
-def run_python(*args):
+def run_python(*args, timeout=120, stdout=subprocess.PIPE):
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, env=python_env(), timeout=120
+        [sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, env=python_env(),
+        timeout=timeout,
     )

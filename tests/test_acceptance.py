@@ -6,18 +6,15 @@ or `ACCEPTANCE <k>: FAIL - ...`, and fails the test run on FAIL.
 
 from __future__ import annotations
 
-import math
 import time
 from itertools import combinations
 
 from stablecurves import (
     LabelSet,
-    compatible,
     enumerate_curve_trees,
     enumerate_distinguished,
     enumerate_stable_two_partitions,
     enumerate_trees,
-    exceptional_vertex,
     forget_and_stabilize,
     intersection_matrix,
     k_plus_b_pairing,
@@ -31,7 +28,8 @@ from stablecurves import (
     signature,
     tree_from_signature,
 )
-from stablecurves.trees import edge_cut
+
+from _support import odd_product_class_size, pair_via_curve_tree
 
 
 def _report(number: int, description: str, check) -> None:
@@ -168,25 +166,11 @@ def test_acceptance_7_class_sizes_match_enumeration():
             assert set(groups) == set(enumerate_distinguished(s))
             for pi, trees in groups.items():
                 # (2k - 3)!! = 1 * 3 * ... * (2k - 3) rooted trivalent trees per block of k
-                assert len(trees) == math.prod(math.prod(range(2 * len(b) - 3, 0, -2)) for b in pi.blocks)
+                assert len(trees) == odd_product_class_size(pi)
             totals[n] = sum(len(ts) for ts in groups.values())
         assert totals == {4: 1, 5: 10, 6: 105, 7: 1260, 8: 17325}
 
     _report(7, "every class carries exactly its double-factorial curve count, n=4..8", check)
-
-
-def _pair_via_tree(sigma, t) -> int:
-    """Independent pairing route read off the curve tree itself."""
-    cuts = [edge_cut(t, e) for e in t.edges]
-    v0 = exceptional_vertex(t)
-    incident = {edge_cut(t, e) for e in t.edges if v0 in e}
-    if sigma in incident:
-        return -1
-    if sigma in cuts:
-        return 0
-    if all(compatible(sigma, cut) for cut in cuts):
-        return 1
-    return 0
 
 
 def test_acceptance_8_structural_properties():
@@ -216,7 +200,7 @@ def test_acceptance_8_structural_properties():
             for pi, trees in _classes_of(n).items():
                 expected = [pair_divisor_curve(sigma, pi) for sigma in sigmas]
                 for t in trees:
-                    assert [_pair_via_tree(sigma, t) for sigma in sigmas] == expected
+                    assert [pair_via_curve_tree(sigma, t) for sigma in sigmas] == expected
 
     _report(8, "signature round trip, forgetting commutes, pairing constant on classes", check)
 

@@ -32,7 +32,7 @@ from stablecurves import (
 )
 from stablecurves import census as census_module
 
-from _support import run_python, stirling_4
+from _support import odd_product_class_size, run_python, stirling_4
 
 
 def multinomial_classes(n, shape):
@@ -174,11 +174,6 @@ def test_census_rejects_bad_n():
         run_census(LabelSet.numbered(3))
     with pytest.raises(InvariantError):
         run_census(LabelSet.numbered(9), max_n=8)
-
-
-def odd_product_class_size(pi):
-    """Curves in the class of ``pi``: 1 * 3 * ... * (2k - 3) for each block of k labels."""
-    return math.prod(math.prod(range(2 * len(b) - 3, 0, -2)) for b in pi.blocks)
 
 
 def brute_class_sizes(s):

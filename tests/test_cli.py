@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import random
@@ -25,13 +26,17 @@ from stablecurves import (
     signature,
     tree_from_signature,
 )
-from stablecurves.cli import ENV_MAX_N, main
+from stablecurves.cli import ENV_MAX_N, build_parser, main
 from stablecurves.literals import parse_distinguished, parse_forget_set, parse_two_partition
 
 from _support import python_env, run_python
 
 
 EXPECTED = Path(__file__).parent / "expected"
+PEAK = Path(__file__).parents[1] / "bench" / "peak.py"
+
+# Development mode with warnings as errors, for each command launched alone.
+DEV = ("-X", "dev", "-W", "error")
 
 
 def run(capsys, *argv):
@@ -131,7 +136,7 @@ def test_closed_stdout_ends_the_command_quietly():
     # A reader that stops early, as ``| head`` does, ends the command with
     # its own exit code and nothing on stderr.
     done = subprocess.Popen(
-        [sys.executable, "-m", "stablecurves", "matrix", "--n", "8", "--action", "emit"],
+        [sys.executable, *DEV, "-m", "stablecurves", "matrix", "--n", "8", "--action", "emit"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=python_env(),
@@ -141,6 +146,20 @@ def test_closed_stdout_ends_the_command_quietly():
     assert done.stderr.read() == b""
     done.stderr.close()
     assert done.wait(timeout=120) == 0
+
+
+@pytest.mark.skipif(
+    not Path("/proc/self/status").exists(), reason="bench/peak.py reads VmHWM there"
+)
+def test_matrix_emit_n9_peaks_under_64_mib(tmp_path):
+    # The envelope is written in batches, never held whole as text; held
+    # whole, it peaked at about 201 MiB.  Launched without development mode,
+    # whose debug allocator pads every block.
+    peak = tmp_path / "peak"
+    argv = ("matrix", "--n", "9", "--action", "emit")
+    done = run_python(str(PEAK), str(peak), *argv, stdout=subprocess.DEVNULL)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert int(peak.read_text()) < 65536
 
 
 def test_failed_command_leaves_the_output_file_alone(tmp_path, capsys):
@@ -157,6 +176,13 @@ def test_failed_command_leaves_the_output_file_alone(tmp_path, capsys):
     assert run(capsys, *argv, "--output", str(target)) == (3, "", "")
     assert target.read_text(encoding="utf-8") == out
     assert json.loads(out)["result"]["valid"] is False
+
+
+def test_invalid_tree_exits_3_in_a_fresh_interpreter():
+    argv = ("tree", "--action", "validate", "--tree", "[1];[2]/0-1")
+    done = run_python(*DEV, "-m", "stablecurves", *argv)
+    assert (done.returncode, done.stderr) == (3, b"")
+    assert json.loads(done.stdout)["result"]["valid"] is False
 
 
 # --------------------------------------------------------------- census
@@ -435,10 +461,12 @@ def test_matrix_rank_n10_is_sparse(capsys):
     }
 
 
-def test_matrix_rank_n16_walks_no_class_of_16_labels(capsys):
+def test_matrix_rank_n16_walks_no_class_of_16_labels():
     # 171,798,901 columns: the certificate is built from the rows.
-    payload = run_json(capsys, "matrix", "--n", "16", "--action", "rank")
-    assert payload["result"] == {
+    argv = ("matrix", "--n", "16", "--action", "rank")
+    done = run_python(*DEV, "-m", "stablecurves", *argv, timeout=60)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert json.loads(done.stdout)["result"] == {
         "cols": 171798901,
         "picard_rank": 32647,
         "rank": 32647,
@@ -718,6 +746,23 @@ QUERIES = (
     "stablecurves.DistinguishedPartition.of, stablecurves.TwoPartition.of\n"
 )
 
+# One public call of each layer, through the package.
+LIBRARY = (
+    "import stablecurves as sc\n"
+    "s = sc.LabelSet.numbered(6)\n"
+    "t = sc.make_tree([[1, 2], [3], [4, 5, 6]], [(0, 1), (1, 2)], s)\n"
+    "sig, pi = sc.signature(t), sc.pi_of_tree(t)\n"
+    "sc.contract_edge(t, (0, 1)), sc.forget_and_stabilize(t, [1]), sc.unlabeled_type_key(t)\n"
+    "sc.pair_divisor_curve(sig.partitions[0], pi), sc.minus_k_expanded(t)\n"
+    "t.to_object(), sc.run_census(s).to_tsv()\n"
+    "curves = sc.enumerate_curve_trees(s)\n"
+    "assert curves == sc.enumerate_curve_trees(s)\n"
+    "assert hash(curves) == hash(sc.enumerate_curve_trees(s))\n"
+)
+
+# 3 is the lone tail of the middle vertex, so forgetting it contracts an edge.
+CHAIN = "[1,2];[3];[4,5,6]/0-1,1-2"
+
 # (code, arguments, the package's modules it loads besides the package).
 CLI = {"_base", "cli", "partitions"}
 PAIRINGS = {*CLI, "intersect"}
@@ -729,10 +774,15 @@ ENTRY_POINTS = [
     ("from stablecurves import cli", [], CLI),
     ("import stablecurves.intersect", [], {"_base", "partitions", "intersect"}),
     (QUERIES, [], {"_base", "partitions", "_tree", "trees", "intersect"}),
+    (LIBRARY, [], {"_base", "partitions", "_tree", "trees", "intersect", "census"}),
     (MAIN, ["--version"], CLI),
     (MAIN, ["--help"], CLI),
     (MAIN, ["tree", "--action", "signature", "--tree", "[1,2];[3,4,5]/0-1"], TREE),
     (MAIN, ["tree", "--action", "pi", "--tree", "[1,2];[3,4,5]/0-1"], {*TREE, "trees"}),
+    (MAIN, ["tree", "--action", "validate", "--tree", CHAIN], TREE),
+    (MAIN, ["tree", "--action", "contract", "--edge", "1-2", "--tree", CHAIN], TREE),
+    (MAIN, ["tree", "--action", "forget", "--forget-set", "1", "--tree", CHAIN], TREE),
+    (MAIN, ["tree", "--action", "forget", "--forget-set", "3", "--tree", CHAIN], TREE),
     (MAIN, ["pair", "--sigma", "12|345", "--pi", "1|2|3|45"], READ_PI),
     (MAIN, ["minus-k", "--pi", "1|2|3|45"], READ_PI),
     (MAIN, ["minus-k", "--pi", "1|2|3|45", "--route", "expanded"], READ_PI),
@@ -747,11 +797,34 @@ ENTRY_POINTS = [
 def loaded_modules(code: str, *argv: str) -> frozenset[str]:
     """The modules that ``code`` run with ``argv`` loads in a fresh interpreter.
 
-    Each entry point is launched once per session, whichever test asks first.
+    Each entry point is launched once per session, whichever test asks first,
+    in development mode with warnings as errors.  Its stderr must hold the
+    module list alone, so a warning printed at exit fails the launch.
     """
-    out = run_python("-c", LOADED + code, *argv)
+    out = run_python(*DEV, "-c", LOADED + code, *argv)
     assert out.returncode == 0, out.stderr
-    return frozenset(out.stderr.decode().splitlines()[-1].split())
+    lines = out.stderr.decode().splitlines()
+    assert len(lines) == 1, out.stderr
+    return frozenset(lines[0].split())
+
+
+def test_every_command_is_launched_by_an_entry_point():
+    # Each subcommand, and each ``--action`` of one, runs in some fresh
+    # interpreter above.
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    commands = {
+        (name, action)
+        for name, command in sub.choices.items()
+        for action in next((a.choices for a in command._actions if a.dest == "action"), [None])
+    }
+    launched = set()
+    for code, argv, _ in ENTRY_POINTS:
+        if code == MAIN and argv[0] in sub.choices:
+            args = parser.parse_args(argv)
+            launched.add((args.command, getattr(args, "action", None)))
+    missing = sorted(" ".join(filter(None, command)) for command in commands - launched)
+    assert not missing, missing
 
 
 def test_cli_import_loads_no_introspection_modules():

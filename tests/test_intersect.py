@@ -27,12 +27,9 @@ from stablecurves import (
     InvariantError,
     LabelSet,
     TwoPartition,
-    compatible,
-    edge_cut,
     enumerate_curve_trees,
     enumerate_distinguished,
     enumerate_stable_two_partitions,
-    exceptional_vertex,
     intersection_matrix,
     k_plus_b_pairing,
     matrix_rank,
@@ -43,11 +40,12 @@ from stablecurves import (
     pair_divisor_curve,
     pi_of_tree,
     picard_rank,
-    signature,
     tree_from_signature,
     virtual_dimension,
 )
 from stablecurves import intersect
+
+from _support import pair_via_curve_tree
 
 
 # ---------------------------------------------------------------- oracles
@@ -96,23 +94,6 @@ def pairings_by_label_sets(sigmas, pi):
         else:
             out.append(0)
     return out
-
-
-def pair_via_curve_tree(sigma, tree):
-    """Pairing read off one curve tree instead of the 4-block partition.
-
-    The divisor meets the curve negatively when sigma is a cut at an edge
-    touching the 4-flag vertex, positively when sigma is no cut at all but
-    is compatible with every cut, and not at all otherwise.
-    """
-    cuts = set(signature(tree).partitions)
-    if sigma in cuts:
-        v0 = exceptional_vertex(tree)
-        at_v0 = {edge_cut(tree, e) for e in tree.edges if v0 in e}
-        return -1 if sigma in at_v0 else 0
-    if all(compatible(sigma, c) for c in cuts):
-        return 1
-    return 0
 
 
 # ------------------------------------------------------------- pairings

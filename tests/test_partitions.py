@@ -29,7 +29,7 @@ from stablecurves import (
     reconstruct_from_p,
 )
 
-from _support import stirling_4
+from _support import as_pair, stirling_4
 
 
 # ---------------------------------------------------------------- oracles
@@ -66,10 +66,6 @@ def brute_four_block_partitions(n):
 
     place(2, [{1}])
     return out
-
-
-def as_pair(sigma):
-    return frozenset((frozenset(sigma.part_a), frozenset(sigma.part_b)))
 
 
 # ----------------------------------------------------------- label sets

@@ -7,7 +7,6 @@ plain reachability, never through the canonical bitmask representation.
 from __future__ import annotations
 
 import gc
-import math
 import random
 import re
 import tracemalloc
@@ -47,6 +46,8 @@ from stablecurves import (
 )
 from stablecurves import trees as trees_module
 from stablecurves.literals import parse_tree_literal
+
+from _support import as_pair, odd_product_class_size
 
 
 # ---------------------------------------------------------------- oracles
@@ -194,15 +195,6 @@ def forget_by_vertex_surgery(vertex_tails, edges, q):
     edges = [(index[v], index[w]) for v in order for w in adj[v] if v < w]
     kept = LabelSet.of(x for v in order for x in tails[v])
     return make_tree([tails[v] for v in order], edges, kept)
-
-
-def rooted_trivalent_count(k):
-    """(2k - 3)!! rooted trivalent trees on k tails."""
-    return math.prod(range(1, 2 * k - 2, 2))
-
-
-def as_pair(sigma):
-    return frozenset((frozenset(sigma.part_a), frozenset(sigma.part_b)))
 
 
 # ------------------------------------------------------------ make_tree
@@ -905,9 +897,7 @@ def test_class_sizes_match_double_factorial_product():
             per_class[pi] = per_class.get(pi, 0) + 1
         assert set(per_class) == set(enumerate_distinguished(s))
         for pi, count in per_class.items():
-            expect = math.prod(
-                rooted_trivalent_count(len(b)) for b in pi.blocks if len(b) >= 2
-            )
+            expect = odd_product_class_size(pi)
             assert count == expect
 
 
