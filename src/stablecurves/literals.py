@@ -9,14 +9,7 @@ required.
 from __future__ import annotations
 
 from ._base import ParseError
-from .partitions import DistinguishedPartition, LabelSet, TwoPartition
-
-
-def _normalize_groups(groups: list[list[str]]) -> list[list]:
-    """Groups of raw tokens, the tokens made ints when every one is decimal."""
-    if all(t.isdecimal() for group in groups for t in group):
-        return [[int(t) for t in group] for group in groups]
-    return groups
+from .partitions import DistinguishedPartition, LabelSet, TwoPartition, _read_tokens
 
 
 def _block_tokens(block: str, whole: bool = False) -> list[str]:
@@ -58,7 +51,7 @@ def parse_label_blocks(text: str) -> list[list]:
     if len(set(flat)) != len(flat):
         dup = next(t for t in flat if flat.count(t) > 1)
         raise ParseError(f"label {dup!r} appears more than once")
-    return _normalize_groups(raw_blocks)
+    return _read_tokens(raw_blocks)
 
 
 def _counted_blocks(text: str, count: int, kind: str) -> tuple[LabelSet, list[list]]:
@@ -97,7 +90,7 @@ def parse_tree_literal(text: str) -> tuple[list[list], list[tuple[int, int]], La
         if not (chunk.startswith("[") and chunk.endswith("]")):
             raise ParseError(f"vertex {chunk!r} is not bracketed")
         vertex_tails.append(_block_tokens(chunk[1:-1].strip(), whole=separated))
-    tails = _normalize_groups(vertex_tails)
+    tails = _read_tokens(vertex_tails)
     edges: list[tuple[int, int]] = []
     if edge_part.strip():
         for chunk in edge_part.split(","):

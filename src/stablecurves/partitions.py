@@ -46,12 +46,12 @@ class LabelSet(_Record):
     labels: tuple
 
     def __post_init__(self):
-        if not self.labels:
-            raise InvariantError("label set is empty")
         try:
             ordered = tuple(sorted(self.labels))
         except TypeError as exc:
             raise InvariantError("labels must be mutually comparable") from exc
+        if not ordered:
+            raise InvariantError("label set is empty")
         if len(set(ordered)) != len(ordered):
             raise InvariantError("labels must be pairwise distinct")
         object.__setattr__(self, "labels", ordered)
@@ -93,6 +93,13 @@ class LabelSet(_Record):
         return tuple([self.labels[i] for i in bits_of(mask)])
 
 
+def _read_tokens(groups: list) -> list:
+    """Groups of literal tokens, the tokens made ints when every one is decimal."""
+    if all(t.isdecimal() for group in groups for t in group):
+        return [[int(t) for t in group] for group in groups]
+    return groups
+
+
 def format_blocks(label_set: LabelSet, masks: Iterable[int]) -> str:
     """Render blocks in the partition literal grammar.
 
@@ -100,11 +107,14 @@ def format_blocks(label_set: LabelSet, masks: Iterable[int]) -> str:
     the set prints as a single character, and comma-separated otherwise.  A
     comma-separated literal that holds no comma, every block one label, ends
     in one comma, so that it reads back as comma-separated: ``10|11|12|13,``.
-    A label whose text is empty or holds ``|``, ``,`` or whitespace is refused.
+    A label whose text is empty or holds ``|``, ``,`` or whitespace is
+    refused, and so is one that :func:`_read_tokens` reads back as another
+    value: the strings ``"1"``, ``"2"``, ``"3"``, ``"4"`` would read back as
+    ints, and the ints ``-1``, ``2``, ``3``, ``4`` as strings.
     """
     texts = [str(t) for t in label_set.labels]
-    for label, t in zip(label_set.labels, texts):
-        if t.split() != [t] or "|" in t or "," in t:
+    for label, t, back in zip(label_set.labels, texts, *_read_tokens([texts])):
+        if t.split() != [t] or "|" in t or "," in t or back != label:
             raise InvariantError(f"label {label!r} cannot be written in a literal")
     if all(len(t) == 1 for t in texts):
         return "|".join("".join(texts[i] for i in bits_of(m)) for m in masks)

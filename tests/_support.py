@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import stablecurves
@@ -45,6 +46,17 @@ def pair_via_curve_tree(sigma, tree):
     if all(compatible(sigma, c) for c in cuts):
         return 1
     return 0
+
+
+def traced_peak_mib(fn):
+    """Peak of the Python memory ``fn`` allocates while it runs, in MiB."""
+    tracemalloc.start()
+    try:
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / 2**20
 
 
 def python_env():

@@ -3,10 +3,8 @@
 from __future__ import annotations
 
 import ast
-import json
 import math
 import sys
-import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -32,7 +30,7 @@ from stablecurves import (
 )
 from stablecurves import census as census_module
 
-from _support import odd_product_class_size, run_python, stirling_4
+from _support import odd_product_class_size, run_python, stirling_4, traced_peak_mib
 
 
 def multinomial_classes(n, shape):
@@ -86,64 +84,6 @@ def test_census_matches_the_class_dict_oracle():
     for n in range(4, 9):
         s = LabelSet.numbered(n)
         assert run_census(s) == census_by_class_dicts(s)
-
-
-def test_census_n4_single_class():
-    report = run_census(LabelSet.numbered(4))
-    assert report.total_curves == 1
-    assert report.total_classes == 1
-    assert len(report.types) == 1
-    assert report.types[0].minus_k == 2
-    assert report.classes[0].shape == (1, 1, 1, 1)
-    assert report.classes[0].minus_k == 2
-
-
-def test_census_n5():
-    report = run_census(LabelSet.numbered(5))
-    assert report.total_curves == 10
-    assert report.total_classes == 10
-    assert len(report.types) == 1
-    assert report.types[0].curve_count == 10
-    assert report.types[0].minus_k == 1
-    assert report.classes[0].shape == (2, 1, 1, 1)
-    assert report.classes[0].class_count == 10
-    assert report.classes[0].curves_per_class == 1
-
-
-def test_census_n6():
-    report = run_census(LabelSet.numbered(6))
-    assert report.total_curves == 105
-    assert report.total_classes == 65
-    assert [(t.curve_count, t.minus_k) for t in report.types] == [(60, 1), (45, 0)]
-    assert [(c.shape, c.class_count, c.curves_per_class, c.minus_k) for c in report.classes] == [
-        ((3, 1, 1, 1), 20, 3, 1),
-        ((2, 2, 1, 1), 45, 1, 0),
-    ]
-
-
-def test_census_n7_named_types():
-    report = run_census(LabelSet.numbered(7))
-    assert report.total_curves == 1260
-    assert report.total_classes == 350
-    by_name = {t.name: t for t in report.types}
-    assert set(by_name) == {"A", "B", "C", "D"}
-    assert (by_name["A"].curve_count, by_name["A"].minus_k) == (420, 1)
-    assert (by_name["B"].curve_count, by_name["B"].minus_k) == (630, 0)
-    assert (by_name["C"].curve_count, by_name["C"].minus_k) == (105, 1)
-    assert (by_name["D"].curve_count, by_name["D"].minus_k) == (105, -1)
-
-
-def test_census_n7_classes():
-    report = run_census(LabelSet.numbered(7))
-    rows = {c.shape: c for c in report.classes}
-    assert rows[(4, 1, 1, 1)].class_count == 35
-    assert rows[(4, 1, 1, 1)].curves_per_class == 15
-    assert rows[(3, 2, 1, 1)].class_count == 210
-    assert rows[(3, 2, 1, 1)].curves_per_class == 3
-    assert rows[(2, 2, 2, 1)].class_count == 105
-    assert rows[(2, 2, 2, 1)].curves_per_class == 1
-    mixed = dict(rows[(4, 1, 1, 1)].curves_per_class_by_type)
-    assert sorted(mixed.values()) == [3, 12]
 
 
 def test_census_type_order_is_descending_count():
@@ -211,17 +151,6 @@ def test_class_size_oracle_matches_enumeration():
             assert per_class[pi] == odd_product_class_size(pi)
 
 
-def traced_peak_mib(fn):
-    """Peak of the Python memory ``fn`` allocates while it runs, in MiB."""
-    tracemalloc.start()
-    try:
-        fn()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak / 2**20
-
-
 def test_census_holds_one_curve_tree_at_a_time():
     s = LabelSet.numbered(8)
     run_census(s)  # fills the per-size family memo
@@ -235,13 +164,6 @@ def test_classes_by_shape():
     for shape, count in got.items():
         assert count == multinomial_classes(7, shape)
     assert sum(got.values()) == stirling_4(7)
-
-
-def test_classes_by_shape_n8():
-    got = classes_by_shape(LabelSet.numbered(8))
-    assert sum(got.values()) == stirling_4(8)
-    for shape, count in got.items():
-        assert count == multinomial_classes(8, shape)
 
 
 def test_classes_by_shape_matches_a_count_over_the_classes():
@@ -260,19 +182,6 @@ def test_render_table_mentions_counts():
     text = render_table(run_census(LabelSet.numbered(6)))
     assert "105" in text and "65" in text
     assert "3+1+1+1" in text and "2+2+1+1" in text
-
-
-EXPECTED = Path(__file__).parent / "expected"
-
-
-def test_census_report_to_tsv_is_the_pinned_table():
-    report = run_census(LabelSet.numbered(7))
-    assert report.to_tsv().encode() == (EXPECTED / "census-n7.tsv").read_bytes()
-
-
-def test_census_report_to_object_is_the_pinned_result():
-    pinned = json.loads((EXPECTED / "census-n7.json").read_text(encoding="utf-8"))
-    assert run_census(LabelSet.numbered(7)).to_object() == pinned["result"]
 
 
 def census_trees_with(monkeypatch, edit):

@@ -11,16 +11,11 @@ exhaustive walk of the column leads, both for n <= 10.
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
 from fractions import Fraction
 from itertools import combinations, islice, permutations
-from pathlib import Path
 
 import pytest
 
-import stablecurves
 from stablecurves import (
     DistinguishedPartition,
     InternalCheckError,
@@ -45,7 +40,7 @@ from stablecurves import (
 )
 from stablecurves import intersect
 
-from _support import pair_via_curve_tree
+from _support import pair_via_curve_tree, run_python
 
 
 # ---------------------------------------------------------------- oracles
@@ -199,14 +194,6 @@ def test_minus_k_expanded_examples():
     assert minus_k_expanded(DistinguishedPartition.of(s7, [[1, 2, 3, 4], [5], [6], [7]])) == 1
 
 
-def test_minus_k_expanded_equals_closed_exhaustive():
-    for n in (5, 6, 7):
-        for pi in enumerate_distinguished(LabelSet.numbered(n)):
-            expanded = minus_k_expanded(pi)
-            assert expanded.denominator == 1
-            assert expanded == minus_k_closed(pi)
-
-
 def test_minus_k_expanded_accepts_curve_tree():
     s = LabelSet.numbered(6)
     for tree in enumerate_curve_trees(s)[:20]:
@@ -332,12 +319,7 @@ def test_sparse_rank_heap_in_a_fresh_interpreter():
         "rank = matrix_rank(intersection_matrix(s))\n"
         "print(rank, tracemalloc.get_traced_memory()[1])\n"
     )
-    src = str(Path(stablecurves.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, timeout=120,
-        env=dict(os.environ, PYTHONPATH=path),
-    )
+    done = run_python("-c", script)
     assert done.returncode == 0, done.stderr
     rank, peak = map(int, done.stdout.split())
     assert rank == picard_rank(10) == 466

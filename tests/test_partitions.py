@@ -84,7 +84,7 @@ def test_label_set_sorts_and_rejects_duplicates():
         LabelSet.of([1, 1, "a"])
     with pytest.raises(TypeError, match="unhashable"):
         LabelSet.of([[1], [2]])
-    for build in (lambda: LabelSet.of([]), lambda: LabelSet(())):
+    for build in (lambda: LabelSet.of([]), lambda: LabelSet(()), lambda: LabelSet(iter(()))):
         with pytest.raises(InvariantError, match="label set is empty"):
             build()
     # The constructor itself sorts, so LabelSet.of is a plain call.
@@ -199,13 +199,24 @@ def test_distinguished_blocks_are_canonically_ordered():
     assert out_of_order == pi
 
 
-@pytest.mark.parametrize("bad", ["a,b", "a|b", "a b", "\t", ""])
-def test_literals_refuse_labels_that_would_not_read_back(bad):
-    s = LabelSet.of([bad, "c", "d", "e"])
+@pytest.mark.parametrize(
+    "labels",
+    [pytest.param([bad, "c", "d", "e"], id=bad) for bad in ["a,b", "a|b", "a b", "\t", ""]]
+    + [
+        # Tokens that read back as other labels: ints, strings, strings, strings.
+        pytest.param(["1", "2", "3", "4"], id="'1'"),
+        pytest.param([-1, 2, 3, 4], id="-1"),
+        pytest.param([1.5, 2, 3, 4], id="1.5"),
+        pytest.param([True, 2, 3, 4], id="True"),
+    ],
+)
+def test_literals_refuse_labels_that_would_not_read_back(labels):
+    s = LabelSet.of(labels)
+    bad = s.labels[0]
     refusal = f"^label {re.escape(repr(bad))} cannot be written in a literal$"
     for partition in (
-        DistinguishedPartition.of(s, [[bad], ["c"], ["d"], ["e"]]),
-        TwoPartition.of(s, [bad, "c"]),
+        DistinguishedPartition.of(s, [[t] for t in s.labels]),
+        TwoPartition.of(s, s.labels[:2]),
     ):
         with pytest.raises(InvariantError, match=refusal):
             partition.literal()
