@@ -9,6 +9,7 @@ integers and exact rationals; no floats appear anywhere.
 from __future__ import annotations
 
 from functools import cached_property, partial
+from operator import index
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from ._base import InternalCheckError, InvariantError, _Record, _check_internal
@@ -282,7 +283,9 @@ def matrix_rank(m: IntersectionMatrix | Sequence[Sequence[int]]) -> int:
     both.  A plain sequence of rows is ranked by Bareiss fraction-free
     elimination over arbitrary-precision integers, scanning columns in
     order and taking the first nonzero pivot, so the result is
-    deterministic and free of rounding.
+    deterministic and free of rounding.  Its entries must be integers:
+    any other entry, a float or a ``Fraction`` among them, raises
+    :class:`InvariantError`.
     """
     if isinstance(m, IntersectionMatrix):
         lower, upper = _rank_bounds(m)
@@ -294,6 +297,11 @@ def matrix_rank(m: IntersectionMatrix | Sequence[Sequence[int]]) -> int:
     ncols = len(work[0])
     if any(len(r) != ncols for r in work):
         raise InvariantError("ragged matrix")
+    try:
+        for r in work:
+            r[:] = map(index, r)
+    except TypeError:
+        raise InvariantError("matrix entries must be integers") from None
     rank = 0
     prev = 1
     for col in range(ncols):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, abc
+from functools import cached_property
 from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Iterator
 
@@ -67,11 +68,11 @@ class LabelSet(_Record):
             raise InvariantError("need at least one label")
         return cls(tuple(range(1, n + 1)))
 
-    @property
+    @cached_property
     def n(self) -> int:
         return len(self.labels)
 
-    @property
+    @cached_property
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 

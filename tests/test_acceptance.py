@@ -141,6 +141,7 @@ def test_acceptance_5_k_plus_b_is_one():
 
 def test_acceptance_6_matrix_rank_matches_picard_rank():
     def check():
+        assert picard_rank(4) == 1
         assert picard_rank(5) == 5
         assert picard_rank(6) == 16
         assert picard_rank(7) == 42

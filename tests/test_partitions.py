@@ -139,14 +139,6 @@ def test_two_partition_orientation_and_stability():
     assert flipped.part_b_mask == 0b111100 and flipped == TwoPartition.of(s, [3, 4, 5, 6])
 
 
-@pytest.mark.parametrize("n,count", [(4, 3), (5, 10), (6, 25)])
-def test_two_partition_counts_frozen(n, count):
-    s = LabelSet.numbered(n)
-    out = enumerate_stable_two_partitions(s)
-    assert len(out) == count
-    assert len(out) == len(brute_two_partitions(n))
-
-
 def test_two_partition_count_formula_up_to_12():
     for n in range(4, 13):
         out = enumerate_stable_two_partitions(LabelSet.numbered(n))
@@ -154,7 +146,7 @@ def test_two_partition_count_formula_up_to_12():
 
 
 def test_two_partition_enumeration_matches_oracle_exactly():
-    for n in (5, 6, 7):
+    for n in (4, 5, 6, 7):
         got = {as_pair(sigma) for sigma in enumerate_stable_two_partitions(LabelSet.numbered(n))}
         assert got == brute_two_partitions(n)
 
@@ -220,11 +212,6 @@ def test_literals_refuse_labels_that_would_not_read_back(labels):
     ):
         with pytest.raises(InvariantError, match=refusal):
             partition.literal()
-
-
-@pytest.mark.parametrize("n,count", [(4, 1), (5, 10), (6, 65)])
-def test_distinguished_counts_frozen(n, count):
-    assert len(enumerate_distinguished(LabelSet.numbered(n))) == count
 
 
 def test_distinguished_enumeration_matches_oracles():

@@ -709,13 +709,6 @@ def test_pi_blocks_read_off_disassembly():
     assert pi.blocks == ((1, 2), (3,), (4, 5), (6, 7))
 
 
-def test_curve_tree_counts_frozen():
-    assert len(enumerate_curve_trees(LabelSet.numbered(4))) == 1
-    assert len(enumerate_curve_trees(LabelSet.numbered(5))) == 10
-    assert len(enumerate_curve_trees(LabelSet.numbered(6))) == 105
-    assert len(enumerate_curve_trees(LabelSet.numbered(7))) == 1260
-
-
 @lru_cache(maxsize=None)
 def families_by_mask(mask):
     """Rooted trivalent cut families on the tails of ``mask``, one memo entry per mask.
@@ -943,12 +936,6 @@ def test_maximal_codimension_is_trivalent():
 
 
 # ----------------------------------------------------------- type keys
-
-
-def test_type_key_counts_small_n():
-    for n, expected in [(4, 1), (5, 1), (6, 2), (7, 4)]:
-        keys = {unlabeled_type_key(t) for t in enumerate_curve_trees(LabelSet.numbered(n))}
-        assert len(keys) == expected
 
 
 def test_type_key_invariant_under_relabeling():
