@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import ast
-import math
 import sys
 from pathlib import Path
 
@@ -13,7 +12,6 @@ import stablecurves
 from stablecurves import (
     ClassShapeRecord,
     CensusReport,
-    DistinguishedPartition,
     InternalCheckError,
     InvariantError,
     LabelSet,
@@ -21,28 +19,14 @@ from stablecurves import (
     classes_by_shape,
     enumerate_curve_trees,
     enumerate_distinguished,
-    enumerate_trees,
     minus_k_closed,
     pi_of_tree,
-    render_table,
     run_census,
     unlabeled_type_key,
 )
 from stablecurves import census as census_module
 
-from _support import odd_product_class_size, run_python, stirling_4, traced_peak_mib
-
-
-def multinomial_classes(n, shape):
-    """Number of 4-block partitions with the given size multiset."""
-    total = math.factorial(n)
-    for b in shape:
-        total //= math.factorial(b)
-    from collections import Counter
-
-    for repeats in Counter(shape).values():
-        total //= math.factorial(repeats)
-    return total
+from _support import odd_product_class_size, run_python, traced_peak_mib
 
 
 def census_by_class_dicts(s):
@@ -86,29 +70,6 @@ def test_census_matches_the_class_dict_oracle():
         assert run_census(s) == census_by_class_dicts(s)
 
 
-def test_census_type_order_is_descending_count():
-    for n in (6, 7):
-        report = run_census(LabelSet.numbered(n))
-        counts = [t.curve_count for t in report.types]
-        assert counts == sorted(counts, reverse=True)
-
-
-def test_census_totals_cross_check():
-    for n in (4, 5, 6, 7):
-        report = run_census(LabelSet.numbered(n))
-        assert report.total_curves == sum(t.curve_count for t in report.types)
-        assert report.total_curves == sum(
-            c.class_count * c.curves_per_class for c in report.classes
-        )
-        assert report.total_classes == sum(c.class_count for c in report.classes)
-        assert report.total_classes == stirling_4(n)
-
-
-def test_census_is_deterministic():
-    s = LabelSet.numbered(6)
-    assert run_census(s) == run_census(s)
-
-
 def test_census_rejects_bad_n():
     with pytest.raises(InvariantError):
         run_census(LabelSet.numbered(3))
@@ -116,54 +77,11 @@ def test_census_rejects_bad_n():
         run_census(LabelSet.numbered(9), max_n=8)
 
 
-def brute_class_sizes(s):
-    """Curves per class, counted over the generic stratum enumerator (n <= 7)."""
-    sizes: dict = {}
-    for t in enumerate_trees(s, s.n - 4):
-        pi = pi_of_tree(t)
-        sizes[pi] = sizes.get(pi, 0) + 1
-    return sizes
-
-
-def test_class_size_oracle_examples():
-    s6 = LabelSet.numbered(6)
-    s7 = LabelSet.numbered(7)
-    examples = [
-        (DistinguishedPartition.of(s6, [[1], [2], [3], [4, 5, 6]]), 3),
-        (DistinguishedPartition.of(s6, [[1, 2], [3, 4], [5], [6]]), 1),
-        (DistinguishedPartition.of(s7, [[1, 2, 3, 4], [5], [6], [7]]), 15),
-    ]
-    for pi, size in examples:
-        assert brute_class_sizes(pi.label_set)[pi] == odd_product_class_size(pi) == size
-    s8 = LabelSet.numbered(8)
-    assert odd_product_class_size(DistinguishedPartition.of(s8, [[1, 2, 3, 4, 5], [6], [7], [8]])) == 105
-
-
-def test_class_size_oracle_matches_enumeration():
-    for n in (5, 6, 7):
-        s = LabelSet.numbered(n)
-        per_class: dict = {}
-        for t in enumerate_curve_trees(s):
-            pi = pi_of_tree(t)
-            per_class[pi] = per_class.get(pi, 0) + 1
-        assert per_class == brute_class_sizes(s)
-        for pi in enumerate_distinguished(s):
-            assert per_class[pi] == odd_product_class_size(pi)
-
-
 def test_census_holds_one_curve_tree_at_a_time():
     s = LabelSet.numbered(8)
     run_census(s)  # fills the per-size family memo
     assert traced_peak_mib(lambda: run_census(s)) < 3
     assert traced_peak_mib(lambda: enumerate_curve_trees(s)) < 1
-
-
-def test_classes_by_shape():
-    got = classes_by_shape(LabelSet.numbered(7))
-    assert got == {(4, 1, 1, 1): 35, (3, 2, 1, 1): 210, (2, 2, 2, 1): 105}
-    for shape, count in got.items():
-        assert count == multinomial_classes(7, shape)
-    assert sum(got.values()) == stirling_4(7)
 
 
 def test_classes_by_shape_matches_a_count_over_the_classes():
@@ -176,12 +94,6 @@ def test_classes_by_shape_matches_a_count_over_the_classes():
         assert list(got.items()) == sorted(counted.items(), reverse=True)
     with pytest.raises(InvariantError):
         classes_by_shape(LabelSet.numbered(9), max_n=8)
-
-
-def test_render_table_mentions_counts():
-    text = render_table(run_census(LabelSet.numbered(6)))
-    assert "105" in text and "65" in text
-    assert "3+1+1+1" in text and "2+2+1+1" in text
 
 
 def census_trees_with(monkeypatch, edit):
@@ -238,21 +150,6 @@ def test_census_rejects_a_shape_with_mixed_breakdowns(monkeypatch):
     monkeypatch.setattr(census_module, "unlabeled_type_key", key_of)
     with pytest.raises(InternalCheckError, match="shape mixes breakdowns"):
         run_census(s)
-
-
-def test_census_rejects_a_short_class_under_optimize():
-    # A class holds more than one curve when some block has at least 3 labels.
-    script = (
-        "from stablecurves import LabelSet, census\n"
-        "trees = list(census.enumerate_curve_trees(LabelSet.numbered(6)))\n"
-        "i = next(i for i, t in enumerate(trees) if max(census.pi_of_tree(t).shape) >= 3)\n"
-        "del trees[i]\n"
-        "census.enumerate_curve_trees = lambda s, max_n=None: trees\n"
-        "census.run_census(LabelSet.numbered(6))\n"
-    )
-    done = run_python("-O", "-c", script)
-    assert done.returncode == 1
-    assert b"InternalCheckError: class tree count disagrees with its closed form" in done.stderr
 
 
 def test_census_heap_in_a_fresh_interpreter():

@@ -860,26 +860,8 @@ def test_cli_forwarders_match_their_layer_functions():
 def test_intersect_forwards_pi_of_tree_to_trees():
     from stablecurves import intersect, trees
 
-    curve_trees = trees.enumerate_curve_trees(LabelSet.numbered(6))
-    assert len(curve_trees) == 105
-    for t in curve_trees:
+    for t in trees.enumerate_curve_trees(LabelSet.numbered(6)):
         assert intersect.pi_of_tree(t) == trees.pi_of_tree(t)
-
-
-def test_pairings_run_without_the_trees_layer():
-    got = fresh(
-        "import json, sys\n"
-        "from stablecurves.intersect import (\n"
-        "    intersection_matrix, matrix_rank, minus_k_expanded, pair_divisor_curve)\n"
-        "from stablecurves.partitions import DistinguishedPartition, LabelSet, TwoPartition\n"
-        "s = LabelSet.numbered(7)\n"
-        "pi = DistinguishedPartition.of(s, [[1], [2], [3], [4, 5, 6, 7]])\n"
-        "sigma = TwoPartition.of(s, [1, 2])\n"
-        "answers = [matrix_rank(intersection_matrix(s)), pair_divisor_curve(sigma, pi),\n"
-        "           minus_k_expanded(pi)]\n"
-        "print(json.dumps([answers, 'stablecurves.trees' in sys.modules]))\n"
-    )
-    assert got == [[42, 1, 1], False]
 
 
 def test_one_version():

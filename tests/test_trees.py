@@ -144,20 +144,6 @@ def shuffled_descriptions(n, rng):
             yield tails, edges
 
 
-def forget_by_cut_restriction(t, q):
-    """Forget oracle: restrict every cut to the kept labels, rebuild."""
-    dropped = set(q)
-    keep = [x for x in t.label_set.labels if x not in dropped]
-    new_s = LabelSet.of(keep)
-    cuts = set()
-    for p in signature(t).partitions:
-        a = [x for x in p.part_a if x not in dropped]
-        b = [x for x in p.part_b if x not in dropped]
-        if len(a) >= 2 and len(b) >= 2:
-            cuts.add(TwoPartition.of(new_s, b))
-    return tree_from_signature(cuts, new_s)
-
-
 def forget_by_vertex_surgery(vertex_tails, edges, q):
     """Forget oracle on a raw description: drop labels, repair vertices, rebuild.
 
@@ -602,15 +588,6 @@ def test_forget_rejects_too_small_remainder():
     t = make_tree([[1, 2], [3, 4, 5]], [(0, 1)], s)
     with pytest.raises(InvariantError, match="too small"):
         forget_and_stabilize(t, [1, 2, 3])
-
-
-def test_forget_matches_cut_restriction_oracle():
-    for n in (5, 6):
-        s = LabelSet.numbered(n)
-        for codim in range(0, n - 2):
-            for t in enumerate_trees(s, codim):
-                for q in s.labels:
-                    assert forget_and_stabilize(t, [q]) == forget_by_cut_restriction(t, [q])
 
 
 def test_forget_matches_vertex_surgery_oracle():
