@@ -11,7 +11,6 @@ from __future__ import annotations
 from stablecurves import (
     DistinguishedPartition,
     LabelSet,
-    c_weight,
     enumerate_distinguished,
     enumerate_stable_two_partitions,
     n_set,
@@ -29,7 +28,7 @@ def main() -> None:
     s = LabelSet.numbered(5)
     print("\nall divisors for n=5:")
     for sigma in enumerate_stable_two_partitions(s):
-        print(f"  {sigma.literal()}  sizes={sigma.sizes}  c={c_weight(sigma)}")
+        print(f"  {sigma.literal()}  sizes={sigma.sizes}")
 
     print("\n== 4-block partitions (boundary curve classes) ==")
     for n in range(4, 8):

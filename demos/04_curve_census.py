@@ -14,7 +14,6 @@ from stablecurves import (
     classes_by_shape,
     enumerate_curve_trees,
     pi_of_tree,
-    render_table,
     run_census,
 )
 
@@ -23,7 +22,7 @@ def main() -> None:
     for n in (6, 7):
         report = run_census(LabelSet.numbered(n))
         print(f"== census for n={n} ==")
-        print(render_table(report), end="")
+        print(report.to_table(), end="")
         print(f"totals: {report.total_curves} curves in {report.total_classes} classes\n")
 
     s = LabelSet.numbered(7)

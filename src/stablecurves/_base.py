@@ -1,8 +1,8 @@
 """Machinery every layer shares: the errors, the record base, bit helpers.
 
-Private: each object here is reached through the layer that exports it
-(``partitions`` for the errors and ``bits_of``, ``cli`` for
-:class:`ParseError`).  Every command loads this module, and without
+Private: each error is reached through the layer that exports it
+(``partitions``, or ``cli`` for :class:`ParseError`); the bit helpers
+serve the layers only.  Every command loads this module, and without
 bytecode caches compiles it, so it holds nothing else.
 """
 

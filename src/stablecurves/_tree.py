@@ -122,7 +122,7 @@ class PartitionSetSignature(_Record):
     The constructor takes the partitions in any order and stores them
     sorted in the canonical partition order.  Two stable trees are
     isomorphic exactly when their signatures are equal.  The constructor
-    checks nothing else; :meth:`of` and :func:`tree_from_signature` do.
+    checks nothing else; :func:`tree_from_signature` does.
     """
 
     label_set: LabelSet
@@ -131,12 +131,6 @@ class PartitionSetSignature(_Record):
     def __init__(self, label_set: LabelSet, partitions: Iterable[TwoPartition]) -> None:
         object.__setattr__(self, "label_set", label_set)
         object.__setattr__(self, "partitions", tuple(sorted(partitions, key=partition_sort_key)))
-
-    @classmethod
-    def of(cls, label_set: LabelSet, partitions: Iterable[TwoPartition]) -> "PartitionSetSignature":
-        sig = cls(label_set, _two_partitions(partitions))
-        _check_signature(label_set, sig.partitions)
-        return sig
 
 
 def _two_partitions(parts: Iterable) -> tuple[TwoPartition, ...]:

@@ -23,7 +23,6 @@ from ._base import _Record, _check_internal
 from .partitions import (
     LabelSet,
     _format_shape,
-    _require_bound,
     _require_labels,
     _shape_counts,
     enumerate_distinguished,  # noqa: F401  bench/spans.py patches this name
@@ -44,7 +43,6 @@ __all__ = [
     "CensusReport",
     "run_census",
     "classes_by_shape",
-    "render_table",
 ]
 
 
@@ -113,6 +111,31 @@ class CensusReport(_Record):
                 f"\t{c.class_count}\t{c.curves_per_class}\t{c.minus_k}"
             )
         lines.append(f"total\t\t{self.total_curves}\t{self.total_classes}\t\t")
+        return "\n".join(lines) + "\n"
+
+    def to_table(self) -> str:
+        """Human-readable census table, one row per type and per class shape."""
+        lines = [
+            f"boundary curve census, n = {self.n}",
+            f"total curves {self.total_curves}, total classes {self.total_classes}",
+            "",
+            "types:",
+        ]
+        head = f"  {'type':<24} {'name':<5} {'curves':>7} {'minus_k':>8}"
+        lines.append(head)
+        for t in self.types:
+            name = t.name or "-"
+            lines.append(f"  {t.type_key:<24} {name:<5} {t.curve_count:>7} {t.minus_k:>8}")
+        lines.append("")
+        lines.append("classes by shape:")
+        lines.append(
+            f"  {'shape':<12} {'classes':>8} {'curves/class':>13} {'minus_k':>8}"
+        )
+        for c in self.classes:
+            lines.append(
+                f"  {_format_shape(c.shape):<12} {c.class_count:>8}"
+                f" {c.curves_per_class:>13} {c.minus_k:>8}"
+            )
         return "\n".join(lines) + "\n"
 
 
@@ -192,7 +215,7 @@ def run_census(s: LabelSet, max_n: int | None = None) -> CensusReport:
     )
 
 
-def classes_by_shape(s: LabelSet, max_n: int | None = None) -> dict[tuple[int, ...], int]:
+def classes_by_shape(s: LabelSet) -> dict[tuple[int, ...], int]:
     """How many 4-block partitions of ``s`` exist per block-size shape.
 
     Shapes come in descending order.  Each count is the multinomial
@@ -200,31 +223,4 @@ def classes_by_shape(s: LabelSet, max_n: int | None = None) -> dict[tuple[int, .
     is enumerated.
     """
     _require_labels(s, 4)
-    _require_bound(s, max_n)
     return _shape_counts(s.n)
-
-
-def render_table(report: CensusReport) -> str:
-    """Human-readable census table, one row per type and per class shape."""
-    lines = [
-        f"boundary curve census, n = {report.n}",
-        f"total curves {report.total_curves}, total classes {report.total_classes}",
-        "",
-        "types:",
-    ]
-    head = f"  {'type':<24} {'name':<5} {'curves':>7} {'minus_k':>8}"
-    lines.append(head)
-    for t in report.types:
-        name = t.name or "-"
-        lines.append(f"  {t.type_key:<24} {name:<5} {t.curve_count:>7} {t.minus_k:>8}")
-    lines.append("")
-    lines.append("classes by shape:")
-    lines.append(
-        f"  {'shape':<12} {'classes':>8} {'curves/class':>13} {'minus_k':>8}"
-    )
-    for c in report.classes:
-        lines.append(
-            f"  {_format_shape(c.shape):<12} {c.class_count:>8}"
-            f" {c.curves_per_class:>13} {c.minus_k:>8}"
-        )
-    return "\n".join(lines) + "\n"

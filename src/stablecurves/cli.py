@@ -72,14 +72,12 @@ def _admit_n(args: argparse.Namespace, minimum: int) -> int:
 
 
 def _cmd_census(args: argparse.Namespace) -> tuple[str | tuple[dict, dict], int]:
-    from .census import render_table
-
     bound = _admit_n(args, 4)
     report = run_census(LabelSet.numbered(args.n), max_n=bound)
     if args.format == "tsv":
         return report.to_tsv(), EXIT_OK
     if args.format == "table":
-        return render_table(report), EXIT_OK
+        return report.to_table(), EXIT_OK
     parameters = {"n": args.n, "format": args.format, "max_n": bound}
     return (parameters, report.to_object()), EXIT_OK
 

@@ -40,7 +40,6 @@ __all__ = [
     "picard_rank",
     "intersection_matrix",
     "matrix_rank",
-    "virtual_dimension",
 ]
 
 
@@ -137,6 +136,10 @@ def k_plus_b_pairing(pi: DistinguishedPartition) -> int:
 
 def picard_rank(n: int) -> int:
     """Rank of the divisor class group of the n-label moduli space."""
+    try:
+        n = index(n)
+    except TypeError:
+        raise InvariantError(f"label count must be an integer, got {n!r}") from None
     if n < 4:
         raise InvariantError(f"need at least 4 labels, got {n}")
     return 2 ** (n - 1) - n * (n - 1) // 2 - 1
@@ -327,16 +330,3 @@ def matrix_rank(m: IntersectionMatrix | Sequence[Sequence[int]]) -> int:
         if rank == len(work):
             break
     return rank
-
-
-def virtual_dimension(genus: int, sigma_size: int, target_dim: int, minus_k_beta: int) -> int:
-    """Expected dimension of a space of stable maps with marked points.
-
-    Adds the anticanonical degree of the class, the number of markings, and
-    (target dimension - 3) times (1 - genus).
-    """
-    if genus < 0:
-        raise InvariantError("genus must be nonnegative")
-    if sigma_size < 0:
-        raise InvariantError("marking count must be nonnegative")
-    return minus_k_beta + sigma_size + (target_dim - 3) * (1 - genus)

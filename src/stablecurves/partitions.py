@@ -24,11 +24,7 @@ __all__ = [
     "LabelSet",
     "TwoPartition",
     "DistinguishedPartition",
-    "bits_of",
-    "format_blocks",
-    "partition_sort_key",
     "enumerate_stable_two_partitions",
-    "c_weight",
     "p_set",
     "n_set",
     "reconstruct_from_p",
@@ -256,12 +252,6 @@ def enumerate_stable_two_partitions(s: LabelSet, max_n: int | None = None) -> li
                 mask |= 1 << i
             out.append(TwoPartition(s, mask))
     return out
-
-
-def c_weight(sigma: TwoPartition) -> int:
-    """Product of the two part sizes."""
-    a, b = sigma.sizes
-    return a * b
 
 
 def _p_masks(pi: DistinguishedPartition) -> tuple[int, int, int]:

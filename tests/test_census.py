@@ -92,8 +92,9 @@ def test_classes_by_shape_matches_a_count_over_the_classes():
             counted[pi.shape] = counted.get(pi.shape, 0) + 1
         got = classes_by_shape(s)
         assert list(got.items()) == sorted(counted.items(), reverse=True)
-    with pytest.raises(InvariantError):
-        classes_by_shape(LabelSet.numbered(9), max_n=8)
+    # A closed form: no enumeration bound applies.
+    s = LabelSet.numbered(20)
+    assert sum(classes_by_shape(s).values()) == len(enumerate_distinguished(s, max_n=20))
 
 
 def census_trees_with(monkeypatch, edit):
@@ -154,11 +155,7 @@ def test_census_rejects_a_shape_with_mixed_breakdowns(monkeypatch):
 
 def test_census_heap_in_a_fresh_interpreter():
     # The census holds the current class, one class bucket, one breakdown
-    # per shape and one family memo entry per block size: 0.03 MiB.  Tuples
-    # of unknown length left a free-list backlog that made it 0.39 MiB, a
-    # copy of each block's family remapped to its bits per class peaked at
-    # 0.69 MiB, the materialised class list added 0.3 MiB, and a breakdown
-    # dict per class with a family memo entry per block mask peaked at 1.7 MiB.
+    # per shape and one family memo entry per block size: about 0.03 MiB.
     script = (
         "import tracemalloc\n"
         "from stablecurves import LabelSet, run_census\n"
@@ -205,9 +202,7 @@ def test_every_tuple_is_built_at_its_exact_size():
 )
 def test_a_warm_walk_leaves_no_tuple_free_list_backlog(run):
     # What a full collection releases after a warm second run: about 250
-    # blocks for the census at n = 8 and 140 for the rank at n = 10.  When
-    # tuples of unknown length filled one free list per size, about 5,600
-    # and 6,300.
+    # blocks for the census at n = 8 and 140 for the rank at n = 10.
     script = (
         "import gc, sys\n"
         "from stablecurves import LabelSet, intersection_matrix, matrix_rank, run_census\n"

@@ -152,9 +152,8 @@ def test_closed_stdout_ends_the_command_quietly():
     not Path("/proc/self/status").exists(), reason="bench/peak.py reads VmHWM there"
 )
 def test_matrix_emit_n9_peaks_under_64_mib(tmp_path):
-    # The envelope is written in batches, never held whole as text; held
-    # whole, it peaked at about 201 MiB.  Launched without development mode,
-    # whose debug allocator pads every block.
+    # The envelope is written in batches, never held whole as text.
+    # Launched without development mode, whose debug allocator pads every block.
     peak = tmp_path / "peak"
     argv = ("matrix", "--n", "9", "--action", "emit")
     done = run_python(str(PEAK), str(peak), *argv, stdout=subprocess.DEVNULL)
@@ -817,7 +816,7 @@ def test_star_import_binds_each_layer_name_once():
         "same = all(globals()[n] is getattr(m, n) for m in layers for n in m.__all__)\n"
         "print(json.dumps([pkg.__all__ == [*names, '__version__'], len(pkg.__all__), same]))\n"
     )
-    assert got == [True, 48, True]
+    assert got == [True, 42, True]
 
 
 def test_package_attributes_load_on_first_use():

@@ -36,7 +36,6 @@ from stablecurves import (
     pi_of_tree,
     picard_rank,
     tree_from_signature,
-    virtual_dimension,
 )
 from stablecurves import intersect
 
@@ -298,9 +297,7 @@ def test_matrices_over_one_label_set_are_equal_and_hash_alike():
 def test_sparse_rank_heap_in_a_fresh_interpreter():
     # The certificate reads the lazy class stream one class at a time for
     # its kernel check and holds only a lead count and the pair-row minor:
-    # the traced peak is about 0.09 MiB at n = 10.  Tuples of unknown length
-    # left a free-list backlog that made it 0.44 MiB, and holding the 34,105
-    # column objects peaked at 7.4 MiB.
+    # the traced peak is about 0.09 MiB at n = 10.
     script = (
         "import tracemalloc\n"
         "from stablecurves import LabelSet, intersection_matrix, matrix_rank\n"
@@ -544,17 +541,6 @@ def test_intersection_matrix_rejects_n4():
         intersection_matrix(LabelSet.numbered(4))
     with pytest.raises(InvariantError):
         picard_rank(3)
-
-
-# ---------------------------------------------------- virtual dimension
-
-
-def test_virtual_dimension_examples():
-    assert virtual_dimension(0, 3, 3, 1) == 4
-    assert virtual_dimension(0, 0, 3, 2) == 2
-    assert virtual_dimension(1, 0, 3, 0) == 0
-    assert virtual_dimension(0, 2, 2, 1) == 2
-    with pytest.raises(InvariantError):
-        virtual_dimension(-1, 0, 3, 0)
-    with pytest.raises(InvariantError):
-        virtual_dimension(0, -2, 3, 0)
+    for n in (4.5, 5.0):
+        with pytest.raises(InvariantError, match="label count must be an integer"):
+            picard_rank(n)

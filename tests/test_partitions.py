@@ -20,7 +20,6 @@ from stablecurves import (
     InvariantError,
     LabelSet,
     TwoPartition,
-    c_weight,
     compatible,
     enumerate_distinguished,
     enumerate_stable_two_partitions,
@@ -164,14 +163,6 @@ def test_two_partition_enumeration_rejects_small_and_oversized():
         enumerate_stable_two_partitions(LabelSet.numbered(3))
     with pytest.raises(InvariantError):
         enumerate_stable_two_partitions(LabelSet.numbered(9), max_n=8)
-
-
-def test_c_weight_examples():
-    s6 = LabelSet.numbered(6)
-    assert c_weight(TwoPartition.of(s6, [4, 5, 6])) == 9
-    s7 = LabelSet.numbered(7)
-    assert c_weight(TwoPartition.of(s7, [6, 7])) == 10
-    assert c_weight(TwoPartition.of(s7, [5, 6, 7])) == 12
 
 
 # ------------------------------------------------- 4-block partitions

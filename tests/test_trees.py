@@ -491,9 +491,6 @@ def test_tree_from_signature_checks_a_constructed_signature():
     for message, parts in cases.items():
         with pytest.raises(InvariantError, match=message):
             tree_from_signature(PartitionSetSignature(s, parts))
-    for message, parts in cases.items():
-        with pytest.raises(InvariantError, match=message):
-            PartitionSetSignature.of(s, parts)
     # The constructor puts the partitions in the canonical order itself.
     ordered = PartitionSetSignature(s, (a, TwoPartition(s, 0b110000)))
     given_high_first = PartitionSetSignature(s, (TwoPartition(s, 0b110000), a))
@@ -509,8 +506,6 @@ def test_tree_from_signature_checks_a_constructed_signature():
 def test_signature_refuses_elements_that_are_not_two_partitions():
     s = LabelSet.numbered(6)
     with pytest.raises(InvariantError, match="signature element 1 is not a 2-partition"):
-        PartitionSetSignature.of(s, [1, 2])
-    with pytest.raises(InvariantError, match="signature element 1 is not a 2-partition"):
         tree_from_signature([1, 2])
     with pytest.raises(InvariantError, match=re.escape("element '12|3456' is not a 2-partition")):
         tree_from_signature(["12|3456"], s)
@@ -525,7 +520,6 @@ def test_signature_roundtrip_all_trees_small():
             for t in enumerate_trees(s, codim):
                 sig = signature(t)
                 assert tree_from_signature(sig) == t
-                assert PartitionSetSignature.of(s, sig.partitions) == sig
 
 
 # ------------------------------------------------------------ contract
@@ -753,8 +747,7 @@ def test_family_memo_holds_one_entry_per_block_size():
 
 def test_a_class_walk_holds_no_copy_of_the_memo():
     # The walk deposits each memo way onto the block's bits as it builds a
-    # tree.  Remapping the 10,395 ways of the 7-label block first peaked at
-    # 0.97 MiB; the deposit tables and one tree peak at about 0.006 MiB.
+    # tree: the deposit tables and one tree peak at about 0.006 MiB.
     trees_module._local_hanging(7)
     s = LabelSet.numbered(10)
     pi = DistinguishedPartition(s, (1, 2, 4, s.full_mask ^ 7))
