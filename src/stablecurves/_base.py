@@ -1,4 +1,4 @@
-"""Machinery every layer shares: the errors, the record base, bit helpers.
+"""Machinery every layer shares: the errors, the record base, count and bit helpers.
 
 Private: each error is reached through the layer that exports it
 (``partitions``, or ``cli`` for :class:`ParseError`); the bit helpers
@@ -8,9 +8,8 @@ bytecode caches compiles it, so it holds nothing else.
 
 from __future__ import annotations
 
-from collections import abc
-from itertools import islice
-from operator import attrgetter
+import sys
+from operator import attrgetter, index
 
 
 class InvariantError(ValueError):
@@ -32,6 +31,21 @@ def _check_internal(ok: bool, message: str) -> None:
     """Raise :class:`InternalCheckError` with ``message`` unless ``ok``."""
     if not ok:
         raise InternalCheckError(message)
+
+
+def _integer(value, what: str) -> int:
+    """``value`` read through ``operator.index``, refused unless an integer."""
+    try:
+        return index(value)
+    except TypeError:
+        raise InvariantError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _length(count: int) -> int:
+    """``count`` as a ``__len__`` result, refused past what ``len()`` can return."""
+    if count > sys.maxsize:
+        raise InvariantError(f"the stream holds {count} items, too many for len()")
+    return count
 
 
 def bits_of(mask: int) -> tuple[int, ...]:
@@ -102,33 +116,3 @@ class _Record:
     def __repr__(self) -> str:
         inner = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{type(self).__qualname__}({inner})"
-
-
-class _LazySequence(abc.Sequence):
-    """A sized sequence built afresh on every pass, read one item at a time.
-
-    Subclasses give ``__len__`` and ``__iter__``; indexing and slicing walk
-    the items up to the requested position, O(index).  ``index`` and
-    ``reversed`` take one pass, where the inherited versions index item by
-    item and so walk the sequence once per item.
-    """
-
-    def __reversed__(self):
-        return reversed(list(self))
-
-    def index(self, value, start: int = 0, stop: int | None = None) -> int:
-        picked = range(len(self))[start:stop]
-        for i, item in zip(picked, islice(self, picked.start, picked.stop)):
-            if item is value or item == value:
-                return i
-        raise ValueError(f"{value!r} is not in the sequence")
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            picked = range(len(self))[index]
-            if not picked:
-                return []
-            if picked.step > 0:
-                return list(islice(self, picked.start, picked.stop, picked.step))
-            return list(islice(self, picked[-1], picked.start + 1, -picked.step))[::-1]
-        return next(islice(self, range(len(self))[index], None))

@@ -12,11 +12,12 @@ from functools import cached_property, partial
 from operator import index
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
-from ._base import InternalCheckError, InvariantError, _Record, _check_internal
+from ._base import InternalCheckError, InvariantError, _Record, _check_internal, _integer
 from .partitions import (
     DistinguishedPartition,
     LabelSet,
     TwoPartition,
+    _DistinguishedPartitions,
     _format_shape,
     _n_masks,
     _p_masks,
@@ -136,10 +137,7 @@ def k_plus_b_pairing(pi: DistinguishedPartition) -> int:
 
 def picard_rank(n: int) -> int:
     """Rank of the divisor class group of the n-label moduli space."""
-    try:
-        n = index(n)
-    except TypeError:
-        raise InvariantError(f"label count must be an integer, got {n!r}") from None
+    n = _integer(n, "label count")
     if n < 4:
         raise InvariantError(f"need at least 4 labels, got {n}")
     return 2 ** (n - 1) - n * (n - 1) // 2 - 1
@@ -150,14 +148,14 @@ class IntersectionMatrix(_Record):
 
     Rows follow the canonical 2-partition order, columns the canonical
     4-block partition order.  Only the rows and the columns are stored, the
-    columns as the lazy stream of :func:`enumerate_distinguished`, which
-    every reader walks afresh.  The dense ``entries`` table is built on
+    columns as the lazy, sized stream of :func:`enumerate_distinguished`,
+    which every reader walks afresh.  The dense ``entries`` table is built on
     first use and then kept, and :func:`matrix_rank` never needs it.
     """
 
     label_set: LabelSet
     rows: tuple[TwoPartition, ...]
-    cols: Sequence[DistinguishedPartition]
+    cols: _DistinguishedPartitions
 
     @cached_property
     def entries(self) -> tuple[tuple[int, ...], ...]:

@@ -10,12 +10,12 @@ operations.
 from __future__ import annotations
 
 import math
-from collections import Counter, abc
+from collections import Counter
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Iterator
 
-from ._base import InternalCheckError, InvariantError, _LazySequence, _Record, _low_bit, bits_of
+from ._base import InternalCheckError, InvariantError, _Record, _integer, _length, _low_bit, bits_of
 
 __all__ = [
     "DEFAULT_MAX_N",
@@ -60,6 +60,7 @@ class LabelSet(_Record):
     @classmethod
     def numbered(cls, n: int) -> "LabelSet":
         """The label set {1, ..., n}."""
+        n = _integer(n, "label count")
         if n < 1:
             raise InvariantError("need at least one label")
         return cls(tuple(range(1, n + 1)))
@@ -231,7 +232,7 @@ def _require_labels(s: LabelSet, minimum: int) -> None:
 
 
 def _require_bound(s: LabelSet, max_n: int | None) -> None:
-    bound = DEFAULT_MAX_N if max_n is None else max_n
+    bound = DEFAULT_MAX_N if max_n is None else _integer(max_n, "max_n")
     if s.n > bound:
         raise InvariantError(f"{s.n} labels exceeds the enumeration bound {bound}")
 
@@ -345,7 +346,7 @@ def _shape_counts(n: int) -> dict[tuple[int, ...], int]:
     }
 
 
-class _DistinguishedPartitions(_Record, _LazySequence):
+class _DistinguishedPartitions(_Record):
     """The 4-block partitions of a label set, built afresh on every pass.
 
     Equal, and hashed alike, when the label sets are.  The length is summed
@@ -355,7 +356,7 @@ class _DistinguishedPartitions(_Record, _LazySequence):
     label_set: LabelSet
 
     def __len__(self) -> int:
-        return sum(_shape_counts(self.label_set.n).values())
+        return _length(sum(_shape_counts(self.label_set.n).values()))
 
     def __iter__(self) -> Iterator[DistinguishedPartition]:
         s = self.label_set
@@ -383,16 +384,14 @@ def _restricted_growth(
         blocks[used] ^= bit
 
 
-def enumerate_distinguished(
-    s: LabelSet, max_n: int | None = None
-) -> abc.Sequence[DistinguishedPartition]:
+def enumerate_distinguished(s: LabelSet, max_n: int | None = None) -> _DistinguishedPartitions:
     """All partitions of ``s`` into exactly 4 nonempty blocks.
 
     Labels are assigned to blocks in restricted-growth order, so the output
     is deterministic and blocks come out already sorted by smallest label.
-    The result is a lazy sized sequence: its length is the closed-form
-    count S(n, 4), each pass builds the partitions anew, and indexing walks
-    them, O(index).
+    The result is lazy, sized and re-iterable: its length is the closed-form
+    count S(n, 4), and each pass builds the partitions anew.  ``list(...)``
+    gives random access.
     """
     _require_labels(s, 4)
     _require_bound(s, max_n)

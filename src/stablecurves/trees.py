@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterable, Iterator, Sequence
 
-from ._base import InvariantError, _LazySequence, _Record, _check_internal, bits_of
+from ._base import InvariantError, _Record, _check_internal, _integer, _length, bits_of
 from ._tree import (
     PartitionSetSignature,
     StableTree,
@@ -32,6 +32,7 @@ from ._tree import (
 from .partitions import (
     DistinguishedPartition,
     LabelSet,
+    _DistinguishedPartitions,
     _masks_compatible,
     _require_bound,
     _require_labels,
@@ -156,22 +157,21 @@ def _curve_trees_in_class(pi: DistinguishedPartition) -> Iterator[StableTree]:
         yield StableTree(pi.label_set, [t[m] for t, way in zip(tables, chosen) for m in way])
 
 
-class CurveTrees(_Record, _LazySequence):
+class CurveTrees(_Record):
     """The curve trees over a label set, built one at a time as they are read.
 
     ``classes`` is the lazy stream of :func:`enumerate_distinguished`, and
     trees come grouped by their 4-block partition in its order.  Equal, and
     hashed alike, when the class streams are.  The length is the closed-form
-    count, summed over block-size shapes, so it costs no class and no tree;
-    indexing and slicing walk the trees up to the requested position.  Every
-    iteration starts afresh.
+    count, summed over block-size shapes, so it costs no class and no tree.
+    Every iteration starts afresh; ``list(...)`` gives random access.
     """
 
-    classes: Sequence[DistinguishedPartition]
+    classes: _DistinguishedPartitions
 
     def __len__(self) -> int:
         counts = _shape_counts(self.classes.label_set.n)
-        return sum(count * _class_size(shape) for shape, count in counts.items())
+        return _length(sum(count * _class_size(shape) for shape, count in counts.items()))
 
     def __iter__(self) -> Iterator[StableTree]:
         produced = 0
@@ -185,9 +185,8 @@ class CurveTrees(_Record, _LazySequence):
 def enumerate_curve_trees(s: LabelSet, max_n: int | None = None) -> CurveTrees:
     """All stable trees with n - 4 edges, grouped by their 4-block partition.
 
-    The result is a lazy sequence: it holds the lazy stream of 4-block
-    partitions, and builds each class and tree only when iteration reaches
-    it.
+    The result is a lazy, sized, re-iterable :class:`CurveTrees`, which
+    builds each class and tree only when iteration reaches it.
     """
     return CurveTrees(enumerate_distinguished(s, max_n=max_n))
 
@@ -196,6 +195,7 @@ def enumerate_trees(s: LabelSet, codim: int, max_n: int | None = None) -> list[S
     """All stable trees over ``s`` with exactly ``codim`` edges."""
     _require_labels(s, 3)
     _require_bound(s, max_n)
+    codim = _integer(codim, "codimension")
     if codim < 0 or codim > s.n - 3:
         raise InvariantError(f"codimension {codim} out of range 0..{s.n - 3}")
     if codim == 0:

@@ -75,6 +75,8 @@ def test_census_rejects_bad_n():
         run_census(LabelSet.numbered(3))
     with pytest.raises(InvariantError):
         run_census(LabelSet.numbered(9), max_n=8)
+    with pytest.raises(InvariantError, match="max_n must be an integer, got '7'"):
+        run_census(LabelSet.numbered(7), max_n="7")
 
 
 def test_census_holds_one_curve_tree_at_a_time():

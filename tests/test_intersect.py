@@ -195,7 +195,7 @@ def test_minus_k_expanded_examples():
 
 def test_minus_k_expanded_accepts_curve_tree():
     s = LabelSet.numbered(6)
-    for tree in enumerate_curve_trees(s)[:20]:
+    for tree in islice(enumerate_curve_trees(s), 20):
         assert minus_k_expanded(tree) == minus_k_closed(pi_of_tree(tree))
 
 

@@ -7,17 +7,16 @@ plain reachability, never through the canonical bitmask representation.
 from __future__ import annotations
 
 import gc
+import math
 import random
 import re
 import weakref
-from collections.abc import Sequence
 from functools import lru_cache
 from itertools import combinations, product
 
 import pytest
 
 from stablecurves import (
-    CurveTrees,
     DistinguishedPartition,
     InternalCheckError,
     InvariantError,
@@ -800,25 +799,18 @@ def test_curve_trees_iterate_to_their_closed_form_count():
         assert list(curves) == walked  # a second pass starts afresh
 
 
-def test_curve_trees_index_and_slice_like_a_list():
-    curves = enumerate_curve_trees(LabelSet.numbered(6))
-    assert isinstance(curves, CurveTrees) and isinstance(curves, Sequence)
-    walked = list(curves)
-    for i in (0, 1, 57, 104, -1, -105):
-        assert curves[i] == walked[i]
-    for cut in (slice(None, 20), slice(3, 100, 9), slice(100, 3, -3), slice(None, None, -7),
-                slice(-3, None), slice(200, None), slice(5, 5)):
-        assert curves[cut] == walked[cut]
-    for i in (105, -106):
-        with pytest.raises(IndexError):
-            curves[i]
-
-
 def test_curve_trees_validate_at_call_time():
     with pytest.raises(InvariantError):
         enumerate_curve_trees(LabelSet.numbered(3))
     with pytest.raises(InvariantError):
         enumerate_curve_trees(LabelSet.numbered(9), max_n=8)
+    # Contracting one of the n - 3 edges of a trivalent tree, of which there
+    # are (2n - 5)!!, gives each curve tree three times.  n = 18 is the last
+    # count len() can return; past it the refusal quotes the count.
+    count = {n: (n - 3) * math.prod(range(1, 2 * n - 4, 2)) // 3 for n in (18, 19)}
+    assert len(enumerate_curve_trees(LabelSet.numbered(18), max_n=18)) == count[18]
+    with pytest.raises(InvariantError, match=f"holds {count[19]} items"):
+        len(enumerate_curve_trees(LabelSet.numbered(19), max_n=19))
 
 
 def test_curve_trees_check_their_count(monkeypatch):
@@ -885,6 +877,8 @@ def test_enumerate_trees_rejects_out_of_range():
         enumerate_trees(s, 3)
     with pytest.raises(InvariantError, match="codimension"):
         enumerate_trees(s, -1)
+    with pytest.raises(InvariantError, match="codimension must be an integer, got 2.0"):
+        enumerate_trees(s, 2.0)
 
 
 def test_curve_trees_equal_generic_enumerator_at_curve_codim():
