@@ -106,6 +106,8 @@ class StableTree(_Record):
         return len(self.cuts)
 
     def tails_at(self, v: int) -> tuple:
+        if not 0 <= v < self.n_vertices:
+            raise InvariantError(f"vertex {v!r} out of range 0..{self.n_vertices - 1}")
         return self.label_set.labels_of(self.vertex_tails[v])
 
     def to_object(self) -> dict:
@@ -131,26 +133,6 @@ class PartitionSetSignature(_Record):
     def __init__(self, label_set: LabelSet, partitions: Iterable[TwoPartition]) -> None:
         object.__setattr__(self, "label_set", label_set)
         object.__setattr__(self, "partitions", tuple(sorted(partitions, key=partition_sort_key)))
-
-
-def _two_partitions(parts: Iterable) -> tuple[TwoPartition, ...]:
-    """``parts`` as a tuple, any element that is not a 2-partition refused before it is read."""
-    parts = tuple(parts)
-    for p in parts:
-        if not isinstance(p, TwoPartition):
-            raise InvariantError(f"signature element {p!r} is not a 2-partition")
-    return parts
-
-
-def _check_signature(s: LabelSet, parts: Sequence[TwoPartition]) -> None:
-    """Refuse anything but distinct, pairwise compatible cuts of ``s``."""
-    if any(p.label_set != s for p in parts):
-        raise InvariantError("signature element over a different label set")
-    if len({p.part_b_mask for p in parts}) != len(parts):
-        raise InvariantError("signature elements must be distinct")
-    for x, y in combinations(parts, 2):
-        if not _masks_compatible(x.part_b_mask, y.part_b_mask):
-            raise InvariantError(f"incompatible set: {x.literal()} crosses {y.literal()}")
 
 
 def _intake(
@@ -290,11 +272,14 @@ def tree_from_signature(
 ) -> StableTree:
     """Rebuild the unique stable tree whose edge cuts are ``sig``.
 
-    A plain iterable of 2-partitions is accepted too.  Either is validated;
-    ``s`` is only required when it cannot be read off a signature element.
+    A plain iterable of 2-partitions is accepted too, with ``s`` if empty.
+    Either must hold distinct, compatible cuts of one label set.
     """
     if not isinstance(sig, PartitionSetSignature):
-        parts = _two_partitions(sig)
+        parts = tuple(sig)
+        for p in parts:
+            if not isinstance(p, TwoPartition):
+                raise InvariantError(f"signature element {p!r} is not a 2-partition")
         if s is None:
             if not parts:
                 raise InvariantError("label set required for an empty signature")
@@ -302,8 +287,15 @@ def tree_from_signature(
         sig = PartitionSetSignature(s, parts)
     elif s is not None and s != sig.label_set:
         raise InvariantError("signature is over a different label set")
-    _check_signature(sig.label_set, sig.partitions)
-    return StableTree(sig.label_set, [p.part_b_mask for p in sig.partitions])
+    s, parts = sig.label_set, sig.partitions
+    if any(p.label_set != s for p in parts):
+        raise InvariantError("signature element over a different label set")
+    if len({p.part_b_mask for p in parts}) != len(parts):
+        raise InvariantError("signature elements must be distinct")
+    for x, y in combinations(parts, 2):
+        if not _masks_compatible(x.part_b_mask, y.part_b_mask):
+            raise InvariantError(f"incompatible set: {x.literal()} crosses {y.literal()}")
+    return StableTree(s, [p.part_b_mask for p in parts])
 
 
 def contract_edge(t: StableTree, e: Sequence[int]) -> StableTree:

@@ -23,6 +23,7 @@ from ._base import _Record, _check_internal
 from .partitions import (
     LabelSet,
     _format_shape,
+    _require_bound,
     _require_labels,
     _shape_counts,
     enumerate_distinguished,  # noqa: F401  bench/spans.py patches this name
@@ -161,7 +162,7 @@ def run_census(s: LabelSet, max_n: int | None = None) -> CensusReport:
     """Census of every curve tree over ``s``.
 
     Types are sorted by descending curve count, ties broken by type key;
-    class records by descending shape.
+    class records by descending shape.  More than ``max_n`` labels are refused.
     """
     type_counts: Counter[str] = Counter()
     type_rep: dict[str, StableTree] = {}
@@ -169,9 +170,11 @@ def run_census(s: LabelSet, max_n: int | None = None) -> CensusReport:
     shape_walked: Counter[tuple[int, ...]] = Counter()
     shape_first: dict[tuple[int, ...], tuple] = {}  # breakdown and degree of its first class
 
+    curves = enumerate_curve_trees(s)
+    _require_bound(s, max_n)
     # A tree's degree is its class's, so it is computed once per class and
     # each type's degree is checked once per class it occurs in.
-    for pi, trees in groupby(enumerate_curve_trees(s, max_n=max_n), key=pi_of_tree):
+    for pi, trees in groupby(curves, key=pi_of_tree):
         degree = minus_k_closed(pi)
         bucket: dict[str, int] = {}
         for tree in trees:

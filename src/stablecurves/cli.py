@@ -286,7 +286,3 @@ def main(argv: Sequence[str] | None = None) -> int:
         # The reader closed stdout early (``| head``): keep the flush at exit from failing again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

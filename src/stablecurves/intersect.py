@@ -191,14 +191,14 @@ class IntersectionMatrix(_Record):
 def intersection_matrix(s: LabelSet, max_n: int | None = None) -> IntersectionMatrix:
     """Pairing table of all boundary divisors against all curve classes.
 
-    Enumerates the rows; the columns stay a lazy stream, so no column
-    object and no cell is held here.  Each column holds +1 on its P-members
-    and -1 on its N-members, read off its blocks when ``entries`` walks the
-    stream.
+    Enumerates the rows, bounded by ``max_n``; the columns stay a lazy
+    stream, so no column object and no cell is held here.  Each column
+    holds +1 on its P-members and -1 on its N-members, read off its blocks
+    when ``entries`` walks the stream.
     """
     _require_labels(s, 5)
     rows = tuple(enumerate_stable_two_partitions(s, max_n=max_n))
-    return IntersectionMatrix(s, rows, enumerate_distinguished(s, max_n=max_n))
+    return IntersectionMatrix(s, rows, enumerate_distinguished(s))
 
 
 def _keel(k: int, l: int, b: int) -> int:

@@ -88,6 +88,8 @@ class LabelSet(_Record):
         return mask
 
     def labels_of(self, mask: int) -> tuple:
+        if mask & ~self.full_mask:
+            raise InvariantError(f"mask {mask!r} is not a subset of the {self.n} labels")
         return tuple([self.labels[i] for i in bits_of(mask)])
 
 
@@ -137,8 +139,11 @@ class TwoPartition(_Record):
     part_b_mask: int
 
     def __init__(self, label_set: LabelSet, part_b_mask: int) -> None:
-        if part_b_mask & 1:
-            part_b_mask ^= label_set.full_mask
+        try:
+            if part_b_mask & 1:
+                part_b_mask ^= label_set.full_mask
+        except TypeError:
+            raise InvariantError(f"part_b must be an integer mask, got {part_b_mask!r}") from None
         object.__setattr__(self, "label_set", label_set)
         object.__setattr__(self, "part_b_mask", part_b_mask)
         self.__post_init__()
@@ -193,8 +198,12 @@ class DistinguishedPartition(_Record):
     block_masks: tuple[int, int, int, int]
 
     def __init__(self, label_set: LabelSet, block_masks: Iterable[int]) -> None:
+        try:
+            masks = tuple(sorted(block_masks, key=_low_bit))
+        except TypeError:
+            raise InvariantError(f"blocks must be integer masks, got {block_masks!r}") from None
         object.__setattr__(self, "label_set", label_set)
-        object.__setattr__(self, "block_masks", tuple(sorted(block_masks, key=_low_bit)))
+        object.__setattr__(self, "block_masks", masks)
         self.__post_init__()
 
     def __post_init__(self):
@@ -384,15 +393,14 @@ def _restricted_growth(
         blocks[used] ^= bit
 
 
-def enumerate_distinguished(s: LabelSet, max_n: int | None = None) -> _DistinguishedPartitions:
+def enumerate_distinguished(s: LabelSet) -> _DistinguishedPartitions:
     """All partitions of ``s`` into exactly 4 nonempty blocks.
 
     Labels are assigned to blocks in restricted-growth order, so the output
     is deterministic and blocks come out already sorted by smallest label.
     The result is lazy, sized and re-iterable: its length is the closed-form
     count S(n, 4), and each pass builds the partitions anew.  ``list(...)``
-    gives random access.
+    gives random access.  Building it walks nothing, so it takes no ``max_n``.
     """
     _require_labels(s, 4)
-    _require_bound(s, max_n)
     return _DistinguishedPartitions(s)

@@ -182,13 +182,13 @@ class CurveTrees(_Record):
         _check_internal(produced == len(self), "curve tree count disagrees with its closed form")
 
 
-def enumerate_curve_trees(s: LabelSet, max_n: int | None = None) -> CurveTrees:
+def enumerate_curve_trees(s: LabelSet) -> CurveTrees:
     """All stable trees with n - 4 edges, grouped by their 4-block partition.
 
     The result is a lazy, sized, re-iterable :class:`CurveTrees`, which
-    builds each class and tree only when iteration reaches it.
+    builds each class and tree only when read, so it takes no ``max_n``.
     """
-    return CurveTrees(enumerate_distinguished(s, max_n=max_n))
+    return CurveTrees(enumerate_distinguished(s))
 
 
 def enumerate_trees(s: LabelSet, codim: int, max_n: int | None = None) -> list[StableTree]:

@@ -96,14 +96,14 @@ def test_classes_by_shape_matches_a_count_over_the_classes():
         assert list(got.items()) == sorted(counted.items(), reverse=True)
     # A closed form: no enumeration bound applies.
     s = LabelSet.numbered(20)
-    assert sum(classes_by_shape(s).values()) == len(enumerate_distinguished(s, max_n=20))
+    assert sum(classes_by_shape(s).values()) == len(enumerate_distinguished(s))
 
 
 def census_trees_with(monkeypatch, edit):
     """Feed the census the curve trees at n = 7 as ``edit`` rearranges them."""
     trees = list(enumerate_curve_trees(LabelSet.numbered(7)))
     edit(trees)
-    monkeypatch.setattr(census_module, "enumerate_curve_trees", lambda s, max_n=None: trees)
+    monkeypatch.setattr(census_module, "enumerate_curve_trees", lambda s: trees)
 
 
 def first_tree_of_a_larger_class(trees):

@@ -111,6 +111,9 @@ def test_label_set_masks_roundtrip():
     s = LabelSet.of(["a", "b", "c", "d"])
     m = s.mask_of(["b", "d"])
     assert s.labels_of(m) == ("b", "d")
+    for mask in (1 << 4, -1):  # past the last label; negative
+        with pytest.raises(InvariantError, match=f"^mask {mask} is not a subset of the 4 labels$"):
+            s.labels_of(mask)
     with pytest.raises(InvariantError):
         s.mask_of(["z"])
     with pytest.raises(InvariantError):
@@ -134,6 +137,8 @@ def test_two_partition_orientation_and_stability():
     for mask in (0, 0b111111, 0b1000110):  # empty, the full set, outside the set
         with pytest.raises(InvariantError, match="^part_b must be a nonempty label subset$"):
             TwoPartition(s, mask)
+    with pytest.raises(InvariantError, match="^part_b must be an integer mask, got 12.0$"):
+        TwoPartition(s, 12.0)
     # A mask holding label 1 names the other side, which is what is stored.
     flipped = TwoPartition(s, 0b000011)
     assert flipped.part_b_mask == 0b111100 and flipped == TwoPartition.of(s, [3, 4, 5, 6])
@@ -180,6 +185,8 @@ def test_distinguished_blocks_are_canonically_ordered():
         DistinguishedPartition.of(s, [[1], [2], [3, 4, 5, 6]])
     with pytest.raises(InvariantError, match="cover the label set"):
         DistinguishedPartition.of(s, [[1], [2], [3], [4]])
+    with pytest.raises(InvariantError, match=r"^blocks must be integer masks, got \['a', 2, 4, 8\]$"):
+        DistinguishedPartition(s, ["a", 2, 4, 8])
     out_of_order = DistinguishedPartition(s, (0b10, 0b1, 0b100, 0b111000))
     assert out_of_order.block_masks == (0b1, 0b10, 0b100, 0b111000)
     assert out_of_order == pi
@@ -266,14 +273,12 @@ def test_distinguished_streams_compare_by_label_set():
 def test_distinguished_stream_validates_at_call_time():
     with pytest.raises(InvariantError):
         enumerate_distinguished(LabelSet.numbered(3))
-    with pytest.raises(InvariantError):
-        enumerate_distinguished(LabelSet.numbered(9), max_n=8)
-    with pytest.raises(InvariantError):
-        enumerate_distinguished(LabelSet.numbered(17))
+    # Building walks nothing, so no enumeration bound applies.
+    assert len(enumerate_distinguished(LabelSet.numbered(17))) == stirling_4(17)
     # n = 33 is the last count len() can return; past it the refusal quotes the count.
-    assert len(enumerate_distinguished(LabelSet.numbered(33), max_n=33)) == stirling_4(33)
+    assert len(enumerate_distinguished(LabelSet.numbered(33))) == stirling_4(33)
     with pytest.raises(InvariantError, match=f"holds {stirling_4(34)} items"):
-        len(enumerate_distinguished(LabelSet.numbered(34), max_n=34))
+        len(enumerate_distinguished(LabelSet.numbered(34)))
 
 
 # -------------------------------------------------------- p_set, n_set

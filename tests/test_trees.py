@@ -190,6 +190,9 @@ def test_make_tree_star():
     assert t.n_vertices == 1
     assert t.codimension == 0
     assert t.tails_at(0) == (1, 2, 3, 4, 5)
+    for v in (-1, 1):
+        with pytest.raises(InvariantError, match=f"^vertex {v} out of range 0..0$"):
+            t.tails_at(v)
 
 
 def test_make_tree_divisor_graph():
@@ -802,15 +805,15 @@ def test_curve_trees_iterate_to_their_closed_form_count():
 def test_curve_trees_validate_at_call_time():
     with pytest.raises(InvariantError):
         enumerate_curve_trees(LabelSet.numbered(3))
-    with pytest.raises(InvariantError):
-        enumerate_curve_trees(LabelSet.numbered(9), max_n=8)
     # Contracting one of the n - 3 edges of a trivalent tree, of which there
-    # are (2n - 5)!!, gives each curve tree three times.  n = 18 is the last
-    # count len() can return; past it the refusal quotes the count.
-    count = {n: (n - 3) * math.prod(range(1, 2 * n - 4, 2)) // 3 for n in (18, 19)}
-    assert len(enumerate_curve_trees(LabelSet.numbered(18), max_n=18)) == count[18]
+    # are (2n - 5)!!, gives each curve tree three times.  Building walks
+    # nothing, so no enumeration bound applies; n = 18 is the last count
+    # len() can return, and past it the refusal quotes the count.
+    count = {n: (n - 3) * math.prod(range(1, 2 * n - 4, 2)) // 3 for n in (17, 18, 19)}
+    assert len(enumerate_curve_trees(LabelSet.numbered(17))) == count[17]
+    assert len(enumerate_curve_trees(LabelSet.numbered(18))) == count[18]
     with pytest.raises(InvariantError, match=f"holds {count[19]} items"):
-        len(enumerate_curve_trees(LabelSet.numbered(19), max_n=19))
+        len(enumerate_curve_trees(LabelSet.numbered(19)))
 
 
 def test_curve_trees_check_their_count(monkeypatch):
