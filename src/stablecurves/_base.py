@@ -65,22 +65,19 @@ def _low_bit(mask: int) -> int:
 class _Record:
     """Base of the package's immutable value classes.
 
-    The fields are the class's own annotations, in order.  A record is built
-    from them positionally or by keyword, then ``__post_init__``, looked up
-    on the class, validates it.  A class built in hot loops writes its own
-    ``__init__``, about twice as fast, which calls ``__post_init__`` when
-    the class has one.  A class whose values have one canonical form puts
-    its input in that form as it validates it: in its own ``__init__``, or
-    in ``__post_init__`` when it uses this one.  Fields cannot be set or
-    deleted.  Records are equal when of one class with equal fields, and
-    hash as the tuple of fields.  Instances keep a ``__dict__``, where
-    ``functools.cached_property`` stores derived views.
+    The fields are the class's own annotations, in order.  This ``__init__``
+    takes them positionally or by keyword and only assigns them.  A class
+    that validates its input, or puts it in one canonical form, writes its
+    own ``__init__`` instead, with the fields as its parameters.  Fields
+    cannot be set or deleted.  Records are equal when of one class with
+    equal fields, and hash as the tuple of fields.  Instances keep a
+    ``__dict__``, where ``functools.cached_property`` stores derived views.
     """
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         # Only the annotation names are read, so none is ever evaluated.
-        cls._fields = cls.__match_args__ = tuple(cls.__annotations__)
+        cls._fields = tuple(cls.__annotations__)
         get = attrgetter(*cls._fields)
         # attrgetter returns a lone field bare; it is hashed as a 1-tuple.
         cls._values = staticmethod(get if len(cls._fields) > 1 else lambda x: (get(x),))
@@ -95,10 +92,6 @@ class _Record:
             # Not through __dict__: on CPython 3.11 and 3.12, touching it
             # turns every later field read into a dict lookup.
             object.__setattr__(self, name, value)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        pass
 
     def __setattr__(self, name: str, value=None) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")

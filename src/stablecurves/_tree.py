@@ -18,7 +18,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from ._base import InvariantError, _Record, _low_bit, bits_of
+from ._base import InvariantError, _Record, _integer, _low_bit, bits_of
 from .partitions import LabelSet, TwoPartition, _masks_compatible, partition_sort_key
 
 
@@ -42,8 +42,12 @@ class StableTree(_Record):
 
     def __init__(self, label_set: LabelSet, cuts: Iterable[int]) -> None:
         full = label_set.full_mask
+        try:
+            cuts = tuple(sorted({m ^ full if m & 1 else m for m in cuts}))
+        except TypeError:
+            raise InvariantError(f"cuts must be integer masks, got {cuts!r}") from None
         object.__setattr__(self, "label_set", label_set)
-        object.__setattr__(self, "cuts", tuple(sorted({m ^ full if m & 1 else m for m in cuts})))
+        object.__setattr__(self, "cuts", cuts)
 
     @cached_property
     def _layout(self) -> tuple[
@@ -106,6 +110,7 @@ class StableTree(_Record):
         return len(self.cuts)
 
     def tails_at(self, v: int) -> tuple:
+        v = _integer(v, "vertex")
         if not 0 <= v < self.n_vertices:
             raise InvariantError(f"vertex {v!r} out of range 0..{self.n_vertices - 1}")
         return self.label_set.labels_of(self.vertex_tails[v])

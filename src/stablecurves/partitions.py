@@ -38,13 +38,13 @@ DEFAULT_MAX_N = 16
 
 
 class LabelSet(_Record):
-    """A finite set of marking labels, given in any order and stored sorted."""
+    """A finite set of marking labels, which its constructor sorts and checks."""
 
     labels: tuple
 
-    def __post_init__(self):
+    def __init__(self, labels: Iterable) -> None:
         try:
-            ordered = tuple(sorted(self.labels))
+            ordered = tuple(sorted(labels))
         except TypeError as exc:
             raise InvariantError("labels must be mutually comparable") from exc
         if not ordered:
@@ -88,6 +88,7 @@ class LabelSet(_Record):
         return mask
 
     def labels_of(self, mask: int) -> tuple:
+        mask = _integer(mask, "mask")
         if mask & ~self.full_mask:
             raise InvariantError(f"mask {mask!r} is not a subset of the {self.n} labels")
         return tuple([self.labels[i] for i in bits_of(mask)])

@@ -34,7 +34,6 @@ from .partitions import (
     LabelSet,
     _DistinguishedPartitions,
     _masks_compatible,
-    _require_bound,
     _require_labels,
     _shape_counts,
     enumerate_distinguished,
@@ -192,9 +191,8 @@ def enumerate_curve_trees(s: LabelSet) -> CurveTrees:
 
 
 def enumerate_trees(s: LabelSet, codim: int, max_n: int | None = None) -> list[StableTree]:
-    """All stable trees over ``s`` with exactly ``codim`` edges."""
+    """All stable trees over ``s`` with exactly ``codim`` edges; ``max_n`` bounds codim > 0 only."""
     _require_labels(s, 3)
-    _require_bound(s, max_n)
     codim = _integer(codim, "codimension")
     if codim < 0 or codim > s.n - 3:
         raise InvariantError(f"codimension {codim} out of range 0..{s.n - 3}")

@@ -114,6 +114,8 @@ def test_label_set_masks_roundtrip():
     for mask in (1 << 4, -1):  # past the last label; negative
         with pytest.raises(InvariantError, match=f"^mask {mask} is not a subset of the 4 labels$"):
             s.labels_of(mask)
+    with pytest.raises(InvariantError, match=r"^mask must be an integer, got 3\.0$"):
+        s.labels_of(3.0)
     with pytest.raises(InvariantError):
         s.mask_of(["z"])
     with pytest.raises(InvariantError):

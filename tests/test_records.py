@@ -3,8 +3,9 @@
 Records are immutable, built positionally or by keyword in field order,
 equal only to records of the same class with equal fields, hashed as the
 tuple of their fields, and printed as ``Name(field=value, ...)``.  The
-validation hook ``__post_init__`` is looked up on the class at every
-construction, so patching it there intercepts them all.
+2- and 4-block partitions, ``TwoPartition`` and ``DistinguishedPartition``,
+validate in a ``__post_init__`` that their ``__init__`` looks up on the
+class at every construction, so patching it there intercepts them all.
 """
 
 from __future__ import annotations

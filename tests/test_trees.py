@@ -193,6 +193,8 @@ def test_make_tree_star():
     for v in (-1, 1):
         with pytest.raises(InvariantError, match=f"^vertex {v} out of range 0..0$"):
             t.tails_at(v)
+    with pytest.raises(InvariantError, match=r"^vertex must be an integer, got 1\.0$"):
+        t.tails_at(1.0)
 
 
 def test_make_tree_divisor_graph():
@@ -466,6 +468,8 @@ def test_constructor_keeps_a_repeated_cut_once():
         assert built == single
         assert built.cuts == (12,)
         assert (built.vertex_tails, built.edges) == (single.vertex_tails, single.edges)
+    with pytest.raises(InvariantError, match=r"^cuts must be integer masks, got \[1\.5\]$"):
+        StableTree(LabelSet.numbered(5), [1.5])
 
 
 def test_tree_from_signature_rejects_crossing():
@@ -882,6 +886,11 @@ def test_enumerate_trees_rejects_out_of_range():
         enumerate_trees(s, -1)
     with pytest.raises(InvariantError, match="codimension must be an integer, got 2.0"):
         enumerate_trees(s, 2.0)
+    # Past the bound the star tree is still built; only the walk is refused.
+    s17 = LabelSet.numbered(17)
+    assert enumerate_trees(s17, 0) == [StableTree(s17, ())]
+    with pytest.raises(InvariantError, match="^17 labels exceeds the enumeration bound 16$"):
+        enumerate_trees(s17, 1)
 
 
 def test_curve_trees_equal_generic_enumerator_at_curve_codim():
