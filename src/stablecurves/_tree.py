@@ -126,18 +126,22 @@ class StableTree(_Record):
 class PartitionSetSignature(_Record):
     """A set of pairwise compatible, distinct stable 2-partitions.
 
-    The constructor takes the partitions in any order and stores them
-    sorted in the canonical partition order.  Two stable trees are
-    isomorphic exactly when their signatures are equal.  The constructor
-    checks nothing else; :func:`tree_from_signature` does.
+    The constructor takes the partitions in any order, sorts them in the
+    canonical partition order, and refuses what that sort cannot read as
+    2-partitions; :func:`tree_from_signature` checks the rest.  Two stable
+    trees are isomorphic exactly when their signatures are equal.
     """
 
     label_set: LabelSet
     partitions: tuple[TwoPartition, ...]
 
     def __init__(self, label_set: LabelSet, partitions: Iterable[TwoPartition]) -> None:
+        try:
+            parts = tuple(sorted(partitions, key=partition_sort_key))
+        except (AttributeError, TypeError):
+            raise InvariantError(f"partitions must be 2-partitions, got {partitions!r}") from None
         object.__setattr__(self, "label_set", label_set)
-        object.__setattr__(self, "partitions", tuple(sorted(partitions, key=partition_sort_key)))
+        object.__setattr__(self, "partitions", parts)
 
 
 def _intake(
@@ -271,27 +275,12 @@ def signature(t: StableTree) -> PartitionSetSignature:
     return PartitionSetSignature(t.label_set, [TwoPartition(t.label_set, m) for m in t.cuts])
 
 
-def tree_from_signature(
-    sig: PartitionSetSignature | Iterable[TwoPartition],
-    s: LabelSet | None = None,
-) -> StableTree:
+def tree_from_signature(sig: PartitionSetSignature) -> StableTree:
     """Rebuild the unique stable tree whose edge cuts are ``sig``.
 
-    A plain iterable of 2-partitions is accepted too, with ``s`` if empty.
-    Either must hold distinct, compatible cuts of one label set.
+    The partitions must be distinct, compatible cuts of the signature's
+    own label set.
     """
-    if not isinstance(sig, PartitionSetSignature):
-        parts = tuple(sig)
-        for p in parts:
-            if not isinstance(p, TwoPartition):
-                raise InvariantError(f"signature element {p!r} is not a 2-partition")
-        if s is None:
-            if not parts:
-                raise InvariantError("label set required for an empty signature")
-            s = parts[0].label_set
-        sig = PartitionSetSignature(s, parts)
-    elif s is not None and s != sig.label_set:
-        raise InvariantError("signature is over a different label set")
     s, parts = sig.label_set, sig.partitions
     if any(p.label_set != s for p in parts):
         raise InvariantError("signature element over a different label set")

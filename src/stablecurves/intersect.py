@@ -89,18 +89,18 @@ def _minus_k_numerator(n: int, part_b_mask: int) -> int:
     return 2 * (n - 1) - j * (n - j)
 
 
-def minus_k_divisor_coefficients(s: LabelSet, max_n: int | None = None) -> dict[TwoPartition, Fraction]:
+def minus_k_divisor_coefficients(s: LabelSet) -> dict[TwoPartition, Fraction]:
     """Coefficients expressing the anticanonical class over the boundary divisors.
 
     The divisor of a 2-partition with part sizes j and n - j carries the
     coefficient 2 - j(n - j)/(n - 1).  Keys follow the canonical
-    enumeration order.
+    enumeration order, whose rows refuse more than ``DEFAULT_MAX_N`` labels.
     """
     from fractions import Fraction  # the one rational output; kept off the import path
 
     return {
         sigma: Fraction(_minus_k_numerator(s.n, sigma.part_b_mask), s.n - 1)
-        for sigma in enumerate_stable_two_partitions(s, max_n=max_n)
+        for sigma in enumerate_stable_two_partitions(s)
     }
 
 

@@ -59,7 +59,7 @@ def _counted_blocks(text: str, count: int, kind: str) -> tuple[LabelSet, list[li
     blocks = parse_label_blocks(text)
     if len(blocks) != count:
         raise ParseError(f"a {kind} literal needs exactly {count} blocks, got {len(blocks)}")
-    return LabelSet.of([t for b in blocks for t in b]), blocks
+    return LabelSet([t for b in blocks for t in b]), blocks
 
 
 def parse_two_partition(text: str) -> TwoPartition:
@@ -97,7 +97,7 @@ def parse_tree_literal(text: str) -> tuple[list[list], list[tuple[int, int]], La
             edges.append(parse_edge(chunk))
     # Duplicate labels are left for the tree validators to report, so the
     # validate action can list them alongside any other violations.
-    s = LabelSet.of(set(t for ts in tails for t in ts))
+    s = LabelSet(set(t for ts in tails for t in ts))
     return tails, edges, s
 
 

@@ -38,24 +38,29 @@ DEFAULT_MAX_N = 16
 
 
 class LabelSet(_Record):
-    """A finite set of marking labels, which its constructor sorts and checks."""
+    """A finite set of marking labels, which its constructor sorts and checks.
+
+    The labels come as any iterable; they must be hashable, mutually
+    comparable (checked before a repeat is) and pairwise distinct.
+    """
 
     labels: tuple
 
     def __init__(self, labels: Iterable) -> None:
+        try:
+            labels = tuple(labels)
+            unique = set(labels)
+        except TypeError as exc:
+            raise InvariantError(f"labels must be iterable and hashable: {exc}") from None
         try:
             ordered = tuple(sorted(labels))
         except TypeError as exc:
             raise InvariantError("labels must be mutually comparable") from exc
         if not ordered:
             raise InvariantError("label set is empty")
-        if len(set(ordered)) != len(ordered):
+        if len(unique) != len(ordered):
             raise InvariantError("labels must be pairwise distinct")
         object.__setattr__(self, "labels", ordered)
-
-    @classmethod
-    def of(cls, labels: Iterable) -> "LabelSet":
-        return cls(tuple(labels))
 
     @classmethod
     def numbered(cls, n: int) -> "LabelSet":

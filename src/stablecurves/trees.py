@@ -190,15 +190,19 @@ def enumerate_curve_trees(s: LabelSet) -> CurveTrees:
     return CurveTrees(enumerate_distinguished(s))
 
 
-def enumerate_trees(s: LabelSet, codim: int, max_n: int | None = None) -> list[StableTree]:
-    """All stable trees over ``s`` with exactly ``codim`` edges; ``max_n`` bounds codim > 0 only."""
+def enumerate_trees(s: LabelSet, codim: int) -> list[StableTree]:
+    """All stable trees over ``s`` with exactly ``codim`` edges.
+
+    Codimension 0 is the star tree at any n; above it the 2-partition rows
+    that the walk reads refuse more than ``DEFAULT_MAX_N`` labels.
+    """
     _require_labels(s, 3)
     codim = _integer(codim, "codimension")
     if codim < 0 or codim > s.n - 3:
         raise InvariantError(f"codimension {codim} out of range 0..{s.n - 3}")
     if codim == 0:
         return [StableTree(s, ())]
-    cands = [p.part_b_mask for p in enumerate_stable_two_partitions(s, max_n=max_n)]
+    cands = [p.part_b_mask for p in enumerate_stable_two_partitions(s)]
     out: list[StableTree] = []
     _extend_trees(s, cands, codim, [], out, 0)
     return out

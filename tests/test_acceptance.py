@@ -180,7 +180,7 @@ def test_acceptance_8_structural_properties():
             s = LabelSet.numbered(n)
             for codim in range(0, n - 2):
                 for t in enumerate_trees(s, codim):
-                    assert tree_from_signature(signature(t), s) == t
+                    assert tree_from_signature(signature(t)) == t
 
         # Forgetting labels commutes and matches one-shot forgetting.
         s = LabelSet.numbered(6)

@@ -17,6 +17,7 @@ import stablecurves
 from stablecurves import (
     DistinguishedPartition,
     LabelSet,
+    PartitionSetSignature,
     TwoPartition,
     __version__,
     compatible,
@@ -346,7 +347,7 @@ def test_partition_literals_round_trip_at_two_digit_labels():
     ids=["ab-gh", "10-13", "1-4", "a-e", "8-12", "x1-v"],
 )
 def test_every_partition_literal_reads_back(labels):
-    s = LabelSet.of(labels)
+    s = LabelSet(labels)
     for pi in enumerate_distinguished(s):
         assert parse_distinguished(pi.literal()) == pi, pi.literal()
     for sigma in enumerate_stable_two_partitions(s):
@@ -354,7 +355,7 @@ def test_every_partition_literal_reads_back(labels):
 
 
 def test_one_label_blocks_of_long_labels_end_in_a_comma(capsys):
-    pi = DistinguishedPartition.of(LabelSet.of(["ab", "cd", "ef", "gh"]), [["ab"], ["cd"], ["ef"], ["gh"]])
+    pi = DistinguishedPartition.of(LabelSet(["ab", "cd", "ef", "gh"]), [["ab"], ["cd"], ["ef"], ["gh"]])
     assert pi.literal() == "ab|cd|ef|gh,"
     payload = run_json(capsys, "tree", "--action", "pi", "--tree", "[10,11,12,13]")
     assert payload["result"]["pi"] == "10|11|12|13,"
@@ -381,7 +382,7 @@ def test_tree_and_forget_literals_round_trip_at_two_digit_labels(capsys):
             for sigma in divisors[: rng.randrange(len(divisors))]:
                 if len(cuts) < n - 3 and all(compatible(sigma, c) for c in cuts):
                     cuts.append(sigma)
-            t = tree_from_signature(cuts, s)
+            t = tree_from_signature(PartitionSetSignature(s, cuts))
             literal = tree_literal(t)
             payload = run_json(capsys, "tree", "--action", "signature", "--tree", literal)
             assert payload["result"]["signature"] == [p.literal() for p in signature(t).partitions]
@@ -403,7 +404,7 @@ def test_tree_and_forget_literals_round_trip_at_two_digit_labels(capsys):
 
 def test_forget_set_without_commas_is_per_character_for_one_digit_labels():
     assert parse_forget_set("12", LabelSet.numbered(6)) == [1, 2]
-    assert parse_forget_set("ce", LabelSet.of("abcdef")) == ["c", "e"]
+    assert parse_forget_set("ce", LabelSet("abcdef")) == ["c", "e"]
     assert parse_forget_set("", LabelSet.numbered(10)) == []
 
 

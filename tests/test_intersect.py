@@ -21,6 +21,7 @@ from stablecurves import (
     InternalCheckError,
     InvariantError,
     LabelSet,
+    PartitionSetSignature,
     TwoPartition,
     enumerate_curve_trees,
     enumerate_distinguished,
@@ -201,7 +202,7 @@ def test_minus_k_expanded_accepts_curve_tree():
 
 def test_minus_k_expanded_rejects_a_tree_that_is_not_a_curve_tree():
     s = LabelSet.numbered(6)
-    divisor_tree = tree_from_signature([TwoPartition.of(s, [1, 2])])
+    divisor_tree = tree_from_signature(PartitionSetSignature(s, [TwoPartition.of(s, [1, 2])]))
     with pytest.raises(InvariantError, match="^not a curve tree: expected 2 edges, got 1$"):
         minus_k_expanded(divisor_tree)
 

@@ -70,22 +70,29 @@ def brute_four_block_partitions(n):
 
 
 def test_label_set_sorts_and_rejects_duplicates():
-    s = LabelSet.of([3, 1, 2, 5, 4])
+    s = LabelSet([3, 1, 2, 5, 4])
     assert s.labels == (1, 2, 3, 4, 5)
     with pytest.raises(InvariantError, match="pairwise distinct"):
-        LabelSet.of([1, 1, 2, 3])
-    for build in (lambda: LabelSet.of([1, "a", 2, 3]), lambda: LabelSet((1, "a"))):
+        LabelSet([1, 1, 2, 3])
+    for build in (lambda: LabelSet([1, "a", 2, 3]), lambda: LabelSet((1, "a"))):
         with pytest.raises(InvariantError, match="mutually comparable"):
             build()
-    # The sort runs first, so repeated and incomparable labels report the latter.
+    # Incomparable labels are reported before repeated ones.
     with pytest.raises(InvariantError, match="mutually comparable"):
-        LabelSet.of([1, 1, "a"])
-    with pytest.raises(TypeError, match="unhashable"):
-        LabelSet.of([[1], [2]])
-    for build in (lambda: LabelSet.of([]), lambda: LabelSet(()), lambda: LabelSet(iter(()))):
+        LabelSet([1, 1, "a"])
+    # Each other fault is named: an argument that is not iterable, or unhashable labels.
+    for labels, fault in [
+        (5, "'int' object is not iterable"),
+        (None, "'NoneType' object is not iterable"),
+        ([[1], [2]], "unhashable type: 'list'"),
+    ]:
+        # Python's own wording follows; newer versions add text around it.
+        with pytest.raises(InvariantError, match=f"^labels must be iterable and hashable: .*{re.escape(fault)}"):
+            LabelSet(labels)
+    for build in (lambda: LabelSet([]), lambda: LabelSet(()), lambda: LabelSet(iter(()))):
         with pytest.raises(InvariantError, match="label set is empty"):
             build()
-    # The constructor itself sorts, so LabelSet.of is a plain call.
+    # The constructor itself sorts.
     assert LabelSet((2, 1)) == LabelSet.numbered(2) and LabelSet((2, 1)).labels == (1, 2)
     with pytest.raises(InvariantError, match="at least one label"):
         LabelSet.numbered(0)
@@ -97,7 +104,7 @@ def test_constructors_put_their_input_in_canonical_form():
     # Each constructor takes a valid value in any order, or by either side,
     # and equals the value its ``of`` twin builds.
     s = LabelSet.numbered(6)
-    assert LabelSet((3, 1, 2)) == LabelSet.of([3, 1, 2]) == LabelSet.numbered(3)
+    assert LabelSet((3, 1, 2)) == LabelSet([3, 1, 2]) == LabelSet.numbered(3)
     assert TwoPartition(s, 0b000011) == TwoPartition.of(s, [1, 2])
     rng = random.Random(5)
     for pi in enumerate_distinguished(s):
@@ -108,7 +115,7 @@ def test_constructors_put_their_input_in_canonical_form():
 
 
 def test_label_set_masks_roundtrip():
-    s = LabelSet.of(["a", "b", "c", "d"])
+    s = LabelSet(["a", "b", "c", "d"])
     m = s.mask_of(["b", "d"])
     assert s.labels_of(m) == ("b", "d")
     for mask in (1 << 4, -1):  # past the last label; negative
@@ -206,7 +213,7 @@ def test_distinguished_blocks_are_canonically_ordered():
     ],
 )
 def test_literals_refuse_labels_that_would_not_read_back(labels):
-    s = LabelSet.of(labels)
+    s = LabelSet(labels)
     bad = s.labels[0]
     refusal = f"^label {re.escape(repr(bad))} cannot be written in a literal$"
     for partition in (
@@ -269,7 +276,7 @@ def test_distinguished_streams_compare_by_label_set():
     b = enumerate_distinguished(LabelSet.numbered(6))
     assert a == b and hash(a) == hash(b)
     assert a != enumerate_distinguished(LabelSet.numbered(7))
-    assert a != enumerate_distinguished(LabelSet.of("abcdef"))
+    assert a != enumerate_distinguished(LabelSet("abcdef"))
 
 
 def test_distinguished_stream_validates_at_call_time():

@@ -14,6 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from stablecurves import (
     LabelSet,
+    PartitionSetSignature,
     contract_edge,
     edge_cut,
     forget_and_stabilize,
@@ -99,7 +100,7 @@ def test_contracting_an_edge_drops_its_cut(raw, data):
     kept = tuple(p for p in signature(t).partitions if p != edge_cut(t, e))
     contracted = contract_edge(t, e)
     assert signature(contracted).partitions == kept
-    assert tree_from_signature(kept, s) == contracted
+    assert tree_from_signature(PartitionSetSignature(s, kept)) == contracted
 
 
 @PROPERTY

@@ -177,7 +177,7 @@ def forget_by_vertex_surgery(vertex_tails, edges, q):
     order = sorted(tails)
     index = {v: k for k, v in enumerate(order)}
     edges = [(index[v], index[w]) for v in order for w in adj[v] if v < w]
-    kept = LabelSet.of(x for v in order for x in tails[v])
+    kept = LabelSet(x for v in order for x in tails[v])
     return make_tree([tails[v] for v in order], edges, kept)
 
 
@@ -230,7 +230,7 @@ def test_make_tree_numbers_vertices_breadth_first_from_the_smallest_label():
 def test_to_object_lists_tails_and_edges_in_the_canonical_numbering():
     t = make_tree([[5, 6], [3, 4], [1, 2]], [(2, 1), (1, 0)], LabelSet.numbered(6))
     assert t.to_object() == {"vertices": [[1, 2], [3, 4], [5, 6]], "edges": [[0, 1], [1, 2]]}
-    t = make_tree([["a", "b"], ["c", "d"], ["e", "f"]], [(0, 1), (1, 2)], LabelSet.of("abcdef"))
+    t = make_tree([["a", "b"], ["c", "d"], ["e", "f"]], [(0, 1), (1, 2)], LabelSet("abcdef"))
     assert forget_and_stabilize(t, ["c", "d"]).to_object() == {
         "vertices": [["a", "b"], ["e", "f"]],
         "edges": [[0, 1]],
@@ -421,10 +421,10 @@ def test_signature_size_equals_codimension():
 
 def test_tree_from_signature_chain():
     s = LabelSet.numbered(6)
-    sig = [TwoPartition.of(s, [4, 5, 6]), TwoPartition.of(s, [5, 6])]
-    t = tree_from_signature(sig, s)
+    parts = [TwoPartition.of(s, [4, 5, 6]), TwoPartition.of(s, [5, 6])]
+    t = tree_from_signature(PartitionSetSignature(s, parts))
     assert t.n_vertices == 3
-    assert tree_from_signature(sig) == t  # the label set read off the first element
+    assert tree_from_signature(PartitionSetSignature(s, reversed(parts))) == t
     assert t.cuts == (48, 56)
     middle = [v for v in range(3) if len(t.tails_at(v)) == 1]
     assert [t.tails_at(v) for v in middle] == [(4,)]
@@ -432,7 +432,7 @@ def test_tree_from_signature_chain():
 
 def test_tree_from_signature_empty_is_star():
     s = LabelSet.numbered(5)
-    t = tree_from_signature([], s)
+    t = tree_from_signature(PartitionSetSignature(s, []))
     assert t.n_vertices == 1
     assert t.codimension == 0
 
@@ -474,16 +474,16 @@ def test_constructor_keeps_a_repeated_cut_once():
 
 def test_tree_from_signature_rejects_crossing():
     s = LabelSet.numbered(6)
-    sig = [TwoPartition.of(s, [2, 3]), TwoPartition.of(s, [3, 4])]
+    sig = PartitionSetSignature(s, [TwoPartition.of(s, [2, 3]), TwoPartition.of(s, [3, 4])])
     with pytest.raises(InvariantError, match="incompatible set"):
-        tree_from_signature(sig, s)
+        tree_from_signature(sig)
 
 
 def test_tree_from_signature_rejects_duplicates():
     s = LabelSet.numbered(6)
     sigma = TwoPartition.of(s, [2, 3])
     with pytest.raises(InvariantError, match="distinct"):
-        tree_from_signature([sigma, sigma], s)
+        tree_from_signature(PartitionSetSignature(s, [sigma, sigma]))
 
 
 def test_tree_from_signature_checks_a_constructed_signature():
@@ -502,21 +502,22 @@ def test_tree_from_signature_checks_a_constructed_signature():
     given_high_first = PartitionSetSignature(s, (TwoPartition(s, 0b110000), a))
     assert given_high_first == ordered
     assert given_high_first.partitions == (a, TwoPartition(s, 0b110000))
-    assert tree_from_signature(ordered) == tree_from_signature(reversed(ordered.partitions), s)
-    with pytest.raises(InvariantError, match="signature is over a different label set"):
-        tree_from_signature(ordered, LabelSet.numbered(7))
-    with pytest.raises(InvariantError, match="label set required for an empty signature"):
-        tree_from_signature([])
+    assert tree_from_signature(ordered) == tree_from_signature(
+        PartitionSetSignature(s, reversed(ordered.partitions))
+    )
 
 
 def test_signature_refuses_elements_that_are_not_two_partitions():
+    # The constructor's sort is the check: it reads each element's mask.
     s = LabelSet.numbered(6)
-    with pytest.raises(InvariantError, match="signature element 1 is not a 2-partition"):
-        tree_from_signature([1, 2])
-    with pytest.raises(InvariantError, match=re.escape("element '12|3456' is not a 2-partition")):
-        tree_from_signature(["12|3456"], s)
-    with pytest.raises(InvariantError, match="signature element None is not a 2-partition"):
-        tree_from_signature([TwoPartition.of(s, [1, 2]), None], s)
+    for parts, shown in [
+        ([1, 2], "[1, 2]"),
+        (["12|3456"], "['12|3456']"),
+        ([TwoPartition.of(s, [1, 2]), None], f"[{TwoPartition.of(s, [1, 2])!r}, None]"),
+        (None, "None"),
+    ]:
+        with pytest.raises(InvariantError, match=f"^partitions must be 2-partitions, got {re.escape(shown)}$"):
+            PartitionSetSignature(s, parts)
 
 
 def test_signature_roundtrip_all_trees_small():
@@ -565,7 +566,7 @@ def test_forget_drops_middle_tails_and_smooths():
     s = LabelSet.numbered(6)
     t = make_tree([[1, 2], [3, 4], [5, 6]], [(0, 1), (1, 2)], s)
     got = forget_and_stabilize(t, [3, 4])
-    expect = make_tree([[1, 2], [5, 6]], [(0, 1)], LabelSet.of([1, 2, 5, 6]))
+    expect = make_tree([[1, 2], [5, 6]], [(0, 1)], LabelSet([1, 2, 5, 6]))
     assert got == expect
 
 
@@ -670,7 +671,7 @@ def test_curve_tree_readings_match_the_raw_description():
 
 
 def test_pi_of_tree_examples():
-    s = LabelSet.of(["a", "b", "c", "d", "e", "f"])
+    s = LabelSet(["a", "b", "c", "d", "e", "f"])
     chain = make_tree([["a", "b", "c"], ["d"], ["e", "f"]], [(0, 1), (1, 2)], s)
     pi = pi_of_tree(chain)
     assert pi.blocks == (("a",), ("b",), ("c",), ("d", "e", "f"))
