@@ -144,6 +144,14 @@ class PartitionSetSignature(_Record):
         object.__setattr__(self, "partitions", parts)
 
 
+def _edge(e) -> tuple[int, int]:
+    """``e`` as a pair of vertex indices; anything else, ``bool`` too, is a malformed edge."""
+    pair = tuple(e) if hasattr(e, "__iter__") else e
+    if type(pair) is tuple and len(pair) == 2 and type(pair[0]) is type(pair[1]) is int:
+        return pair
+    raise InvariantError(f"malformed edge {pair!r}")
+
+
 def _intake(
     vertex_tails: Sequence[Iterable], edges: Sequence[Sequence[int]], s: LabelSet
 ) -> tuple[list[str], list[int]]:
@@ -161,12 +169,12 @@ def _intake(
     pairs: list[tuple] = []
     adj: list[list[int]] = [[] for _ in range(nv)]
     for e in edges:
-        pair = tuple(e)
-        pairs.append(pair)
-        if len(pair) != 2 or not all(isinstance(i, int) for i in pair):
-            problems.append(f"not a tree: malformed edge {pair!r}")
+        try:
+            i, j = _edge(e)
+        except InvariantError as err:
+            problems.append(f"not a tree: {err}")
             continue
-        i, j = pair
+        pairs.append((i, j))
         if not (0 <= i < nv and 0 <= j < nv):
             problems.append(f"not a tree: edge ({i}, {j}) names a missing vertex")
             continue
@@ -258,10 +266,7 @@ def edge_cut(t: StableTree, e: Sequence[int]) -> TwoPartition:
 
     ``e`` is a pair of canonical vertex indices in either order.
     """
-    pair = tuple(e)
-    if len(pair) != 2 or not all(isinstance(i, int) for i in pair):
-        raise InvariantError(f"malformed edge {pair!r}")
-    i, j = pair
+    i, j = _edge(e)
     _, edges, sides, _ = t._layout
     # Canonical edge k is (parent, k + 1), and its cut is its child's side.
     child = max(i, j)

@@ -33,11 +33,11 @@ from .partitions import (
     DistinguishedPartition,
     LabelSet,
     _DistinguishedPartitions,
-    _masks_compatible,
+    _require_bound,
     _require_labels,
     _shape_counts,
     enumerate_distinguished,
-    enumerate_stable_two_partitions,
+    enumerate_stable_two_partitions,  # noqa: F401  bench/spans.py patches this name
 )
 
 __all__ = [
@@ -193,36 +193,31 @@ def enumerate_curve_trees(s: LabelSet) -> CurveTrees:
 def enumerate_trees(s: LabelSet, codim: int) -> list[StableTree]:
     """All stable trees over ``s`` with exactly ``codim`` edges.
 
-    Codimension 0 is the star tree at any n; above it the 2-partition rows
-    that the walk reads refuse more than ``DEFAULT_MAX_N`` labels.
+    Each comes once, from a tree on the labels before the last by placing
+    the last on a vertex, on a new vertex in an edge or beside a tail.  The
+    star tree is admitted at any n; past it, at most ``DEFAULT_MAX_N`` labels.
     """
     _require_labels(s, 3)
     codim = _integer(codim, "codimension")
     if codim < 0 or codim > s.n - 3:
         raise InvariantError(f"codimension {codim} out of range 0..{s.n - 3}")
-    if codim == 0:
-        return [StableTree(s, ())]
-    cands = [p.part_b_mask for p in enumerate_stable_two_partitions(s)]
+    if codim:
+        _require_bound(s, None)
     out: list[StableTree] = []
-    _extend_trees(s, cands, codim, [], out, 0)
+    stack: list[tuple[list[int], int]] = [([], 8)]  # cuts on the labels below bit b, and b
+    while stack:
+        cuts, b = stack.pop()
+        if b > s.full_mask:
+            out.append(StableTree(s, cuts))
+            continue
+        if codim - len(cuts) <= s.n - b.bit_length():  # a label left per cut still to add
+            for x in (b - 1, *cuts):  # on the root, which no cut holds, or below cut x
+                stack.append(([c | b if c & x == x else c for c in cuts], b << 1))
+        if len(cuts) < codim:  # in edge x or by tail x; the cut {0, b} is kept as b - 2
+            for x in (*cuts, *[1 << i for i in range(b.bit_length() - 1)]):
+                grown = [c | b if c & x == x != c else c for c in cuts]
+                stack.append((grown + [x | b if x > 1 else b - 2], b << 1))
     return out
-
-
-def _extend_trees(
-    s: LabelSet, cands: list[int], codim: int, chosen: list[int], out: list[StableTree], start: int
-) -> None:
-    # Module-level for the reason :func:`_shape_code` gives: as a closure it
-    # would hold ``out`` in a reference cycle after the caller drops it.
-    if len(chosen) == codim:
-        out.append(StableTree(s, chosen))
-        return
-    need = codim - len(chosen)
-    for i in range(start, len(cands) - need + 1):
-        c = cands[i]
-        if all(_masks_compatible(c, o) for o in chosen):
-            chosen.append(c)
-            _extend_trees(s, cands, codim, chosen, out, i + 1)
-            chosen.pop()
 
 
 def _centroids(t: StableTree) -> list[int]:

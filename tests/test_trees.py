@@ -303,9 +303,12 @@ def test_tree_violations_are_listed_whole_and_in_order():
     for text, expected in literals.items():
         assert tree_violations(*parse_tree_literal(text)) == expected, text
     s = LabelSet.numbered(5)
-    assert tree_violations([[1, 9], [2, 3, 4]], [(0, 1), ("a", 1), (0, 1, 2)], s) == [
+    edges = [(0, 1), ("a", 1), (0, 1, 2), (False, True), None]
+    assert tree_violations([[1, 9], [2, 3, 4]], edges, s) == [
         "not a tree: malformed edge ('a', 1)",
         "not a tree: malformed edge (0, 1, 2)",
+        "not a tree: malformed edge (False, True)",
+        "not a tree: malformed edge None",
         "label coverage: unknown label 9",
         "label coverage: missing label 5",
     ]
@@ -349,14 +352,18 @@ def test_edge_cut_unknown_edge():
 
 def test_edge_cut_names_non_integer_ends_malformed():
     # "01" unpacks to the ends "0" and "1", which are not vertex indices,
-    # though (0, 1) is a real edge of the tree.
+    # though (0, 1) is a real edge of the tree; nor are False and True.
     s = LabelSet.numbered(5)
     t = make_tree([[1, 2], [3, 4, 5]], [(0, 1)], s)
-    for e in ("01", (0, "1"), (0.0, 1)):
+    for e in ("01", (0, "1"), (0.0, 1), (False, True), (0, True)):
         with pytest.raises(InvariantError, match=re.escape(f"malformed edge {tuple(e)!r}")):
             edge_cut(t, e)
+    with pytest.raises(InvariantError, match=re.escape("malformed edge None")):
+        edge_cut(t, None)
     with pytest.raises(InvariantError, match=re.escape("malformed edge ('0', '1')")):
         contract_edge(t, "01")
+    with pytest.raises(InvariantError, match=re.escape("malformed edge (False, True)")):
+        contract_edge(t, (False, True))
 
 
 def test_edge_cut_looks_up_only_real_edges():
@@ -765,8 +772,8 @@ def test_a_class_walk_holds_no_copy_of_the_memo():
 
 
 def test_enumerated_trees_are_freed_by_reference_counting():
-    # The recursion is a module function: as a self-referencing closure over
-    # the output list it held all 190,575 trees at n = 9, codim 4 (about
+    # The walk holds no closure: as a self-referencing closure over the
+    # output list it held all 190,575 trees at n = 9, codim 4 (about
     # 33 MiB) in a cycle until a full collection.
     was_enabled = gc.isenabled()
     gc.disable()
@@ -792,6 +799,26 @@ def eager_curve_trees(s):
         for chosen in product(*options):
             masks = [m for group in chosen for m in group]
             out.append(StableTree(s, masks))
+    return out
+
+
+def trees_by_clique_search(s, codim):
+    """Every stable tree with ``codim`` edges, as a clique of compatible 2-partitions.
+
+    Each chosen set grows only by rows after its last, so each comes once.
+    """
+    rows = enumerate_stable_two_partitions(s) if codim else []
+    out = []
+
+    def extend(chosen, start):
+        if len(chosen) == codim:
+            out.append(StableTree(s, [p.part_b_mask for p in chosen]))
+            return
+        for i in range(start, len(rows) - (codim - len(chosen)) + 1):
+            if all(compatible(rows[i], p) for p in chosen):
+                extend(chosen + [rows[i]], i + 1)
+
+    extend([], 0)
     return out
 
 
@@ -870,13 +897,33 @@ def test_enumerate_trees_codim_one_matches_divisors():
     assert len(out) == len(enumerate_stable_two_partitions(s))
 
 
-def test_enumerate_trees_n5_codim2_frozen():
+def test_enumerate_trees_equals_the_clique_search():
+    for n in range(4, 9):
+        s = LabelSet.numbered(n)
+        for codim in range(n - 2):
+            out = enumerate_trees(s, codim)
+            assert len(set(out)) == len(out)
+            assert set(out) == set(trees_by_clique_search(s, codim)), (n, codim)
     s = LabelSet.numbered(5)
-    out = enumerate_trees(s, 2)
-    assert len(out) == 15
     sigmas = enumerate_stable_two_partitions(s)
     brute = sum(1 for x, y in combinations(sigmas, 2) if compatible(x, y))
-    assert brute == 15
+    assert brute == len(enumerate_trees(s, 2)) == 15
+
+
+def test_stratum_totals_are_schroder_numbers():
+    # Rooted at its last label, a stable tree on n labels is a rooted tree
+    # on n - 1 labelled leaves whose inner vertices have two or more children
+    # (Schröder's fourth problem, OEIS A000311).  With t[m] such trees and
+    # f[m] forests of them on m leaves, a forest splits off the tree of its
+    # smallest leaf, of j leaves; a tree on m >= 2 leaves is its root and a
+    # forest of two or more trees, so f[m] = 2 t[m].
+    t, f = [0, 1], [1, 1]
+    for m in range(2, 8):
+        t.append(sum(math.comb(m - 1, j - 1) * t[j] * f[m - j] for j in range(1, m)))
+        f.append(2 * t[m])
+    for n in range(3, 9):
+        s = LabelSet.numbered(n)
+        assert sum(len(enumerate_trees(s, codim)) for codim in range(n - 2)) == t[n - 1]
 
 
 def test_enumerate_trees_rejects_out_of_range():
