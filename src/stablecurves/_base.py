@@ -34,11 +34,13 @@ def _check_internal(ok: bool, message: str) -> None:
 
 
 def _integer(value, what: str) -> int:
-    """``value`` read through ``operator.index``, refused unless an integer."""
+    """``value`` read through ``operator.index``, refused unless an integer other than ``bool``."""
     try:
-        return index(value)
+        if type(value) is not bool:
+            return index(value)
     except TypeError:
-        raise InvariantError(f"{what} must be an integer, got {value!r}") from None
+        pass
+    raise InvariantError(f"{what} must be an integer, got {value!r}")
 
 
 def _length(count: int) -> int:

@@ -161,6 +161,10 @@ def _intake(
     edge order, each as the union of the tails on the side of its edge
     away from vertex 0, whichever way round the caller wrote the edge.
     """
+    try:
+        vertex_tails, edges = list(vertex_tails), list(edges)
+    except TypeError:
+        return [f"not a tree: vertices and edges must be iterable, got {vertex_tails!r} and {edges!r}"], []
     nv = len(vertex_tails)
     if nv == 0:
         return ["not a tree: no vertices"], []
@@ -212,6 +216,9 @@ def _intake(
     tail_counts = [0] * nv
     below = [0] * nv  # tails of each vertex, then of its subtree below vertex 0
     for v, tails in enumerate(vertex_tails):
+        if not hasattr(tails, "__iter__"):
+            problems.append(f"not a tree: malformed tails {tails!r} at vertex {v}")
+            continue
         for token in tails:
             if token not in s.labels:
                 problems.append(f"label coverage: unknown label {token!r}")
@@ -255,7 +262,7 @@ def make_tree(
     Raises :class:`InvariantError` listing every violated invariant when the
     description is not a stable tree over ``s``.
     """
-    problems, cuts = _intake(list(vertex_tails), list(edges), s)
+    problems, cuts = _intake(vertex_tails, edges, s)
     if problems:
         raise InvariantError("; ".join(problems))
     return StableTree(s, cuts)

@@ -292,7 +292,10 @@ def matrix_rank(m: IntersectionMatrix | Sequence[Sequence[int]]) -> int:
         lower, upper = _rank_bounds(m)
         _check_internal(lower == upper, f"rank bounds differ: {lower} distinct leads, Keel bound {upper}")
         return lower
-    work = [list(r) for r in m]
+    try:
+        work = [list(r) for r in m]
+    except TypeError:
+        raise InvariantError("matrix rows must be iterable") from None
     if not work:
         return 0
     ncols = len(work[0])

@@ -1,15 +1,50 @@
-"""Readers of the command line literals: partitions, trees, edges, forget sets.
+"""The literal grammar: writes partitions as literals, reads partition, tree, edge and forget-set literals.
 
-Partition literals read back as :func:`partitions.format_blocks` writes
-them.  A token is a number only when it is decimal (``str.isdecimal``), so
-``1_0`` and ``+1`` stay strings: a label, or a refusal where a number is
-required.
+Partition literals read back as :func:`format_blocks` writes them.  A token
+is a number only when it is decimal (``str.isdecimal``), so ``1_0`` and
+``+1`` stay strings: a label, or a refusal where a number is required.
 """
 
 from __future__ import annotations
 
-from ._base import ParseError
-from .partitions import DistinguishedPartition, LabelSet, TwoPartition, _read_tokens
+from typing import Iterable
+
+from ._base import InvariantError, ParseError, bits_of
+from .partitions import DistinguishedPartition, LabelSet, TwoPartition
+
+
+def _read_tokens(groups: list) -> list:
+    """Groups of literal tokens, the tokens made ints when every one is decimal."""
+    if all(t.isdecimal() for group in groups for t in group):
+        return [[int(t) for t in group] for group in groups]
+    return groups
+
+
+def _juxtaposed(texts: Iterable[str]) -> bool:
+    """True when every label prints as one character, so labels are written side by side."""
+    return all(len(t) == 1 for t in texts)
+
+
+def format_blocks(label_set: LabelSet, masks: Iterable[int]) -> str:
+    """Render blocks in the partition literal grammar.
+
+    Blocks are separated by ``|``.  Labels are juxtaposed when every label in
+    the set prints as a single character, and comma-separated otherwise.  A
+    comma-separated literal that holds no comma, every block one label, ends
+    in one comma, so that it reads back as comma-separated: ``10|11|12|13,``.
+    A label whose text is empty or holds ``|``, ``,`` or whitespace is
+    refused, and so is one that :func:`_read_tokens` reads back as another
+    value: the strings ``"1"``, ``"2"``, ``"3"``, ``"4"`` would read back as
+    ints, and the ints ``-1``, ``2``, ``3``, ``4`` as strings.
+    """
+    texts = [str(t) for t in label_set.labels]
+    for label, t, back in zip(label_set.labels, texts, *_read_tokens([texts])):
+        if t.split() != [t] or "|" in t or "," in t or back != label:
+            raise InvariantError(f"label {label!r} cannot be written in a literal")
+    if _juxtaposed(texts):
+        return "|".join("".join(texts[i] for i in bits_of(m)) for m in masks)
+    text = "|".join(",".join(texts[i] for i in bits_of(m)) for m in masks)
+    return text if "," in text else text + ","
 
 
 def _block_tokens(block: str, whole: bool = False) -> list[str]:
@@ -115,11 +150,10 @@ def parse_edge(text: str) -> tuple[int, int]:
 def parse_forget_set(text: str, s: LabelSet) -> list:
     """Labels to forget: comma-separated, or juxtaposed single characters.
 
-    A set without commas is one label when any label of ``s`` prints with
-    more than one character, the rule :func:`format_blocks` writes by.
+    A set without commas is one label unless every label of ``s`` prints as
+    one character, the rule :func:`format_blocks` writes by.
     """
-    whole = any(len(str(t)) > 1 for t in s.labels)
-    tokens = _block_tokens(text.strip(), whole=whole)
+    tokens = _block_tokens(text.strip(), whole=not _juxtaposed(map(str, s.labels)))
     if all(isinstance(t, int) for t in s.labels):
         if not all(t.isdecimal() for t in tokens):
             raise ParseError(f"forget set {text!r} must use the tree's numeric labels")

@@ -81,15 +81,18 @@ class LabelSet(_Record):
     def mask_of(self, labels: Iterable) -> int:
         """Bitmask of a collection of member labels (each at most once)."""
         mask = 0
-        for token in labels:
-            try:
-                i = self.labels.index(token)
-            except ValueError:
-                raise InvariantError(f"unknown label {token!r}") from None
-            bit = 1 << i
-            if mask & bit:
-                raise InvariantError(f"label {token!r} repeated")
-            mask |= bit
+        try:
+            for token in labels:
+                try:
+                    i = self.labels.index(token)
+                except ValueError:
+                    raise InvariantError(f"unknown label {token!r}") from None
+                bit = 1 << i
+                if mask & bit:
+                    raise InvariantError(f"label {token!r} repeated")
+                mask |= bit
+        except TypeError:
+            raise InvariantError(f"labels must be iterable, got {labels!r}") from None
         return mask
 
     def labels_of(self, mask: int) -> tuple:
@@ -97,35 +100,6 @@ class LabelSet(_Record):
         if mask & ~self.full_mask:
             raise InvariantError(f"mask {mask!r} is not a subset of the {self.n} labels")
         return tuple([self.labels[i] for i in bits_of(mask)])
-
-
-def _read_tokens(groups: list) -> list:
-    """Groups of literal tokens, the tokens made ints when every one is decimal."""
-    if all(t.isdecimal() for group in groups for t in group):
-        return [[int(t) for t in group] for group in groups]
-    return groups
-
-
-def format_blocks(label_set: LabelSet, masks: Iterable[int]) -> str:
-    """Render blocks in the partition literal grammar.
-
-    Blocks are separated by ``|``.  Labels are juxtaposed when every label in
-    the set prints as a single character, and comma-separated otherwise.  A
-    comma-separated literal that holds no comma, every block one label, ends
-    in one comma, so that it reads back as comma-separated: ``10|11|12|13,``.
-    A label whose text is empty or holds ``|``, ``,`` or whitespace is
-    refused, and so is one that :func:`_read_tokens` reads back as another
-    value: the strings ``"1"``, ``"2"``, ``"3"``, ``"4"`` would read back as
-    ints, and the ints ``-1``, ``2``, ``3``, ``4`` as strings.
-    """
-    texts = [str(t) for t in label_set.labels]
-    for label, t, back in zip(label_set.labels, texts, *_read_tokens([texts])):
-        if t.split() != [t] or "|" in t or "," in t or back != label:
-            raise InvariantError(f"label {label!r} cannot be written in a literal")
-    if all(len(t) == 1 for t in texts):
-        return "|".join("".join(texts[i] for i in bits_of(m)) for m in masks)
-    text = "|".join(",".join(texts[i] for i in bits_of(m)) for m in masks)
-    return text if "," in text else text + ","
 
 
 def _format_shape(shape: Iterable[int]) -> str:
@@ -184,6 +158,7 @@ class TwoPartition(_Record):
         return (self.label_set.n - b, b)
 
     def literal(self) -> str:
+        from .literals import format_blocks  # literals imports this module
         return format_blocks(self.label_set, (self.part_a_mask, self.part_b_mask))
 
 
@@ -226,7 +201,10 @@ class DistinguishedPartition(_Record):
 
     @classmethod
     def of(cls, label_set: LabelSet, blocks: Iterable[Iterable]) -> "DistinguishedPartition":
-        return cls(label_set, [label_set.mask_of(b) for b in blocks])
+        try:  # the constructor turns each TypeError of its own into InvariantError
+            return cls(label_set, [label_set.mask_of(b) for b in blocks])
+        except TypeError:
+            raise InvariantError(f"blocks must be iterable, got {blocks!r}") from None
 
     @property
     def blocks(self) -> tuple:
@@ -238,6 +216,7 @@ class DistinguishedPartition(_Record):
         return tuple(sorted((m.bit_count() for m in self.block_masks), reverse=True))
 
     def literal(self) -> str:
+        from .literals import format_blocks  # literals imports this module
         return format_blocks(self.label_set, self.block_masks)
 
 

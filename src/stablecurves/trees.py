@@ -103,14 +103,10 @@ def _local_hanging(k: int) -> tuple[tuple[int, ...], ...]:
     memo entry per block size serves every block of k labels, read in place.
     The root splits the tails into the side holding tail 0 and the other
     side, which runs over the submasks of tails 1..k-1 in ascending order,
-    and each side hangs below the root as :func:`_hanging` says.
+    and the two sides hang below the root as :func:`_hang` says.
     """
     full = (1 << k) - 1
-    ways = []
-    for b in range(2, full, 2):
-        ys = _hanging(b)
-        ways += [(full,) + x + y for x in _hanging(full ^ b) for y in ys]
-    return tuple(ways)
+    return tuple([(full, *way) for b in range(2, full, 2) for way in _hang((full ^ b, b))])
 
 
 def _deposit(mask: int) -> list[int]:
@@ -121,17 +117,17 @@ def _deposit(mask: int) -> list[int]:
     return table
 
 
-def _hanging(mask: int) -> tuple[tuple[int, ...], ...]:
-    """The ways the labels of ``mask`` hang below an edge, each as its cuts.
+def _hang(masks: Iterable[int]) -> Iterator[list[int]]:
+    """Every way the disjoint blocks ``masks`` hang below their edges, each as its cuts.
 
-    A single label hangs with no cut.  A larger block hangs as
-    :func:`_local_hanging` says for its size, moved by :func:`_deposit`, in
-    the per-mask recursion's order.  Only the memo build needs this copy.
+    A single label hangs with no cut.  A larger block takes the memo's ways
+    for its size, deposited onto its bits as each way is built, with no copy
+    of the memo.  The first block varies slowest.
     """
-    if not mask & (mask - 1):
-        return ((),)
-    table = _deposit(mask)
-    return tuple([tuple([table[m] for m in way]) for way in _local_hanging(mask.bit_count())])
+    blocks = [m for m in masks if m & (m - 1)]
+    tables = [_deposit(m) for m in blocks]
+    for chosen in product(*[_local_hanging(m.bit_count()) for m in blocks]):
+        yield [t[m] for t, way in zip(tables, chosen) for m in way]
 
 
 def _class_size(shape: Iterable[int]) -> int:
@@ -145,15 +141,8 @@ def _class_size(shape: Iterable[int]) -> int:
 
 
 def _curve_trees_in_class(pi: DistinguishedPartition) -> Iterator[StableTree]:
-    """Every curve tree whose 4-flag vertex reads off ``pi``, one at a time.
-
-    Each block of 2 or more labels takes its ways from the memo and deposits
-    them as the tree is built, in :func:`_hanging` order, with no copy.
-    """
-    blocks = [m for m in pi.block_masks if m & (m - 1)]
-    tables = [_deposit(m) for m in blocks]
-    for chosen in product(*[_local_hanging(m.bit_count()) for m in blocks]):
-        yield StableTree(pi.label_set, [t[m] for t, way in zip(tables, chosen) for m in way])
+    """Every curve tree whose 4-flag vertex reads off ``pi``, one at a time."""
+    return (StableTree(pi.label_set, cuts) for cuts in _hang(pi.block_masks))
 
 
 class CurveTrees(_Record):

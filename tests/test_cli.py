@@ -722,8 +722,8 @@ ENTRY_POINTS = [
     (MAIN, ["minus-k", "--pi", "1|2|3|45"], READ_PI),
     (MAIN, ["minus-k", "--pi", "1|2|3|45", "--route", "expanded"], READ_PI),
     (MAIN, ["matrix", "--n", "5"], PAIRINGS),
-    (MAIN, ["matrix", "--n", "5", "--action", "emit"], PAIRINGS),
-    (MAIN, ["matrix", "--n", "5", "--action", "emit", "--format", "tsv"], PAIRINGS),
+    (MAIN, ["matrix", "--n", "5", "--action", "emit"], {*PAIRINGS, "literals"}),
+    (MAIN, ["matrix", "--n", "5", "--action", "emit", "--format", "tsv"], {*PAIRINGS, "literals"}),
     (MAIN, ["census", "--n", "5"], {*PAIRINGS, "_tree", "trees", "census"}),
 ]
 

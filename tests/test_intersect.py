@@ -506,6 +506,9 @@ def test_sparse_rank_rejects_a_corrupted_column(monkeypatch):
 
 def test_matrix_rank_edge_cases():
     assert matrix_rank([]) == 0
+    for rows in (5, [5], [None]):
+        with pytest.raises(InvariantError, match="^matrix rows must be iterable$"):
+            matrix_rank(rows)
     with pytest.raises(InvariantError, match="ragged matrix"):
         matrix_rank([[1, 0], [1]])
     # Floor division would floor these to rank 1; both have rank 2.

@@ -96,8 +96,9 @@ def test_label_set_sorts_and_rejects_duplicates():
     assert LabelSet((2, 1)) == LabelSet.numbered(2) and LabelSet((2, 1)).labels == (1, 2)
     with pytest.raises(InvariantError, match="at least one label"):
         LabelSet.numbered(0)
-    with pytest.raises(InvariantError, match="label count must be an integer, got 5.0"):
-        LabelSet.numbered(5.0)
+    for n in (5.0, True):  # a bool is no count
+        with pytest.raises(InvariantError, match=f"^label count must be an integer, got {n}$"):
+            LabelSet.numbered(n)
 
 
 def test_constructors_put_their_input_in_canonical_form():
@@ -121,8 +122,18 @@ def test_label_set_masks_roundtrip():
     for mask in (1 << 4, -1):  # past the last label; negative
         with pytest.raises(InvariantError, match=f"^mask {mask} is not a subset of the 4 labels$"):
             s.labels_of(mask)
-    with pytest.raises(InvariantError, match=r"^mask must be an integer, got 3\.0$"):
-        s.labels_of(3.0)
+    for mask in (3.0, True):
+        with pytest.raises(InvariantError, match=f"^mask must be an integer, got {mask}$"):
+            s.labels_of(mask)
+    # A non-iterable is refused by the one loop that reads labels.
+    with pytest.raises(InvariantError, match="^labels must be iterable, got None$"):
+        s.mask_of(None)
+    with pytest.raises(InvariantError, match="^labels must be iterable, got 3$"):
+        TwoPartition.of(s, 3)
+    with pytest.raises(InvariantError, match="^blocks must be iterable, got None$"):
+        DistinguishedPartition.of(s, None)
+    with pytest.raises(InvariantError, match="^labels must be iterable, got 1$"):
+        DistinguishedPartition.of(s, [1, ["b"], ["c"], ["d"]])
     with pytest.raises(InvariantError):
         s.mask_of(["z"])
     with pytest.raises(InvariantError):

@@ -193,8 +193,9 @@ def test_make_tree_star():
     for v in (-1, 1):
         with pytest.raises(InvariantError, match=f"^vertex {v} out of range 0..0$"):
             t.tails_at(v)
-    with pytest.raises(InvariantError, match=r"^vertex must be an integer, got 1\.0$"):
-        t.tails_at(1.0)
+    for v in (1.0, True):
+        with pytest.raises(InvariantError, match=f"^vertex must be an integer, got {v}$"):
+            t.tails_at(v)
 
 
 def test_make_tree_divisor_graph():
@@ -313,6 +314,18 @@ def test_tree_violations_are_listed_whole_and_in_order():
         "label coverage: missing label 5",
     ]
     assert tree_violations([], [], s) == ["not a tree: no vertices"]
+    # A vertex that is no collection of labels is malformed, and judged with the rest.
+    assert tree_violations([[1, 2, 3], 5], [(0, 1)], s) == [
+        "not a tree: malformed tails 5 at vertex 1",
+        "label coverage: missing label 4",
+        "label coverage: missing label 5",
+        "unstable vertex 1: only 1 flags",
+    ]
+    for tails, edges in ((None, []), ([[1, 2, 3, 4, 5]], None)):
+        expected = f"not a tree: vertices and edges must be iterable, got {tails!r} and {edges!r}"
+        assert tree_violations(tails, edges, s) == [expected]
+        with pytest.raises(InvariantError, match=f"^{re.escape(expected)}$"):
+            make_tree(tails, edges, s)
 
 
 def test_make_tree_accepts_one_shot_iterables():
@@ -730,26 +743,27 @@ def test_rooted_binary_families_match_the_per_mask_recursion():
     # too many to keep twice in a unit test.
     for mask in range(1 << 9):
         if 2 <= mask.bit_count() <= 7:
-            assert trees_module._hanging(mask) == tuple((mask,) + f for f in families_by_mask(mask))
+            ways = [tuple(way) for way in trees_module._hang([mask])]
+            assert ways == [(mask,) + f for f in families_by_mask(mask)]
 
 
 def test_the_family_memo_hangs_each_side_once_per_split(monkeypatch):
-    # Size k splits its tails 2**(k-1) - 1 ways at the root and hangs both
-    # sides once per split: 494 calls fill k <= 8, where hanging the second
-    # side again for every way of the first made 105,536.
-    hanging = trees_module._hanging
+    # Size k splits its tails 2**(k-1) - 1 ways at the root and hangs the
+    # two sides together once per split: 247 calls fill k <= 8, where
+    # hanging the second side again for every way of the first made 105,536.
+    hang = trees_module._hang
     calls = []
-    monkeypatch.setattr(trees_module, "_hanging", lambda mask: calls.append(mask) or hanging(mask))
+    monkeypatch.setattr(trees_module, "_hang", lambda masks: calls.append(masks) or hang(masks))
     memo = trees_module._local_hanging
     memo.cache_clear()
     try:
         for k in range(2, 9):
             before = len(calls)
             memo(k)
-            assert len(calls) - before == 2 * (2 ** (k - 1) - 1)
+            assert len(calls) - before == 2 ** (k - 1) - 1
     finally:
         memo.cache_clear()
-    assert len(calls) == 494
+    assert len(calls) == 247
 
 
 def test_family_memo_holds_one_entry_per_block_size():
@@ -932,8 +946,9 @@ def test_enumerate_trees_rejects_out_of_range():
         enumerate_trees(s, 3)
     with pytest.raises(InvariantError, match="codimension"):
         enumerate_trees(s, -1)
-    with pytest.raises(InvariantError, match="codimension must be an integer, got 2.0"):
-        enumerate_trees(s, 2.0)
+    for codim in (2.0, True):
+        with pytest.raises(InvariantError, match=f"^codimension must be an integer, got {codim}$"):
+            enumerate_trees(s, codim)
     # Past the bound the star tree is still built; only the walk is refused.
     s17 = LabelSet.numbered(17)
     assert enumerate_trees(s17, 0) == [StableTree(s17, ())]
