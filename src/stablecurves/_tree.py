@@ -29,9 +29,9 @@ class StableTree(_Record):
     in any order, repeated or not, and keeps each cut once.  ``cuts``
     holds, for every edge, the side that avoids the smallest label; the
     masks are sorted as integers, so structural equality coincides with
-    isomorphism over the same label set.  The constructor does not check
-    that the cuts are laminar: :func:`make_tree` and
-    :func:`tree_from_signature` do.
+    isomorphism over the same label set.  The constructor refuses a mask
+    that is not a proper nonempty subset of the labels, but not cuts that
+    cross: :func:`make_tree` and :func:`tree_from_signature` check those.
 
     ``vertex_tails`` and ``edges`` are derived from the cuts on first use,
     in the canonical numbering the module docstring describes.
@@ -43,11 +43,13 @@ class StableTree(_Record):
     def __init__(self, label_set: LabelSet, cuts: Iterable[int]) -> None:
         full = label_set.full_mask
         try:
-            cuts = tuple(sorted({m ^ full if m & 1 else m for m in cuts}))
+            masks = tuple(sorted({m ^ full if m & 1 else m for m in cuts}))
         except TypeError:
             raise InvariantError(f"cuts must be integer masks, got {cuts!r}") from None
+        if masks and (masks[0] <= 0 or masks[-1] >= full):
+            raise InvariantError(f"cuts must be proper nonempty subsets of the {label_set.n} labels, got {cuts!r}")
         object.__setattr__(self, "label_set", label_set)
-        object.__setattr__(self, "cuts", cuts)
+        object.__setattr__(self, "cuts", masks)
 
     @cached_property
     def _layout(self) -> tuple[

@@ -9,8 +9,7 @@ integers and exact rationals; no floats appear anywhere.
 from __future__ import annotations
 
 from functools import cached_property, partial
-from operator import index
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from ._base import InternalCheckError, InvariantError, _Record, _check_internal, _integer
 from .partitions import (
@@ -213,11 +212,23 @@ def _keel(k: int, l: int, b: int) -> int:
 
 
 def _basis_pairs(n: int) -> list[tuple[int, int]]:
-    """Bit indices (k, l) of R(1, 2, k, l) for 3 <= k < l <= n, then of R(1, 2, l, 3) for 4 <= l <= n.
+    """Bit indices (k, l) of Keel's basis: R(1, 2, k, l) for 3 <= k < l <= n, then (l, 2) for 4 <= l <= n.
 
-    These n(n - 3)/2 Keel relations are as many as the rows exceed the Picard rank.
+    A pair with k > l names R(1, 2, k, l) - R(1, 2, l, k), here
+    R(1, 2, l, 3) - R(1, 2, 3, l): R(1, 2, l, 3) alone would share its lead
+    {3, l} with R(1, 2, 3, l).  These n(n - 3)/2 relations are as many as
+    the rows exceed the Picard rank.
     """
     return [(k, l) for l in range(3, n) for k in range(2, l)] + [(l, 2) for l in range(3, n)]
+
+
+def _relation(k: int, l: int, b: int) -> int:
+    """Coefficient of the divisor with part b in the basis relation named (k, l) by :func:`_basis_pairs`.
+
+    On the pair rows R(1, 2, k, l) is e{k, l} - e{2, l}, leading at {k, l},
+    and the difference e{2, l} - e{2, 3}, leading at {2, l}.
+    """
+    return _keel(k, l, b) - _keel(l, k, b) if k > l else _keel(k, l, b)
 
 
 def _lead_classes(m: IntersectionMatrix) -> Iterator[tuple[int, DistinguishedPartition]]:
@@ -248,17 +259,18 @@ def _rank_bounds(m: IntersectionMatrix) -> tuple[int, int]:
     own row.  Ordered by lead (as masks, not row indices), they are
     triangular with +1 or -1 on the diagonal, so independent.
 
-    Upper: the rows minus the rank, by Bareiss elimination, of the Keel
-    basis of :func:`_basis_pairs` on the pair rows alone.  Relations
-    independent there are independent, and the basis lies in the left
-    kernel by one check: R(1, 2, 3, 4) pairs to zero with every class of
-    min(n, 10) labels.  A relation's pairing depends only on which blocks
-    hold 1, 2, k and l and which blocks hold at least 2 labels, since those
-    decide which P- and N-members it counts.  Every such placement occurs at
-    10 labels: four labels, at most six more to fill the blocks, and any
-    further label joins a block of at least 2.  A relabelling that fixes 1
-    and 2 carries R(1, 2, 3, 4) to every other R(1, 2, k, l), and the
-    classes onto the classes.
+    Upper: the rows minus the relations of :func:`_basis_pairs`, each
+    checked to have its own lead on the pair rows, the largest part-b mask
+    with a nonzero coefficient.  Ordered by lead they are triangular there,
+    so independent, and the basis lies in the left kernel by one check:
+    R(1, 2, 3, 4) pairs to zero with every class of min(n, 10) labels.  A
+    relation's pairing depends only on which blocks hold 1, 2, k and l and
+    which blocks hold at least 2 labels, since those decide which P- and
+    N-members it counts.  Every such placement occurs at 10 labels: four
+    labels, at most six more to fill the blocks, and any further label joins
+    a block of at least 2.  A relabelling that fixes 1 and 2 carries
+    R(1, 2, 3, 4) to every other R(1, 2, k, l), and the classes onto the
+    classes; the differences follow by linearity.
     """
     n = m.label_set.n
     r1234 = partial(_keel, 2, 3)
@@ -270,64 +282,20 @@ def _rank_bounds(m: IntersectionMatrix) -> tuple[int, int]:
             raise InternalCheckError(f"{pi.literal()} does not lead at its row")
         lower += 1
     pairs = [sigma.part_b_mask for sigma in m.rows if sigma.part_b_mask.bit_count() == 2]
-    minor = [[_keel(k, l, b) for b in pairs] for k, l in _basis_pairs(n)]
-    return lower, len(m.rows) - matrix_rank(minor)
+    basis = _basis_pairs(n)
+    leads = {max([b for b in pairs if _relation(k, l, b)], default=0) for k, l in basis} - {0}
+    _check_internal(len(leads) == len(basis), "Keel relations lack distinct leads on the pair rows")
+    return lower, len(m.rows) - len(basis)
 
 
-def matrix_rank(m: IntersectionMatrix | Sequence[Sequence[int]]) -> int:
-    """Exact rank of an integer matrix.
+def matrix_rank(m: IntersectionMatrix) -> int:
+    """Exact rank of a pairing matrix, certified from its rows.
 
-    An :class:`IntersectionMatrix` is ranked by a certificate built from its
-    rows, walking at most the classes of 10 labels: one lead class per lead
-    row bounds the rank from below, an explicit basis of Keel's relations
-    from above, and the two must meet, or :class:`InternalCheckError` names
-    both.  A plain sequence of rows is ranked by Bareiss fraction-free
-    elimination over arbitrary-precision integers, scanning columns in
-    order and taking the first nonzero pivot, so the result is
-    deterministic and free of rounding.  Its entries must be integers:
-    any other entry, a float or a ``Fraction`` among them, raises
-    :class:`InvariantError`.
+    Walks at most the classes of 10 labels: one lead class per lead row
+    bounds the rank from below, and an explicit basis of Keel's relations,
+    one lead per relation, bounds it from above.  The two must meet, or
+    :class:`InternalCheckError` names both.
     """
-    if isinstance(m, IntersectionMatrix):
-        lower, upper = _rank_bounds(m)
-        _check_internal(lower == upper, f"rank bounds differ: {lower} distinct leads, Keel bound {upper}")
-        return lower
-    try:
-        work = [list(r) for r in m]
-    except TypeError:
-        raise InvariantError("matrix rows must be iterable") from None
-    if not work:
-        return 0
-    ncols = len(work[0])
-    if any(len(r) != ncols for r in work):
-        raise InvariantError("ragged matrix")
-    try:
-        for r in work:
-            r[:] = map(index, r)
-    except TypeError:
-        raise InvariantError("matrix entries must be integers") from None
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        pivot_row = None
-        for r in range(rank, len(work)):
-            if work[r][col] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        pivot = work[rank][col]
-        lead = work[rank]
-        for r in range(rank + 1, len(work)):
-            row = work[r]
-            factor = row[col]
-            # Every row below is rescaled even when factor is zero; the
-            # exactness of the later divisions depends on it.
-            for j in range(col, ncols):
-                row[j] = (pivot * row[j] - factor * lead[j]) // prev
-        prev = pivot
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
+    lower, upper = _rank_bounds(m)
+    _check_internal(lower == upper, f"rank bounds differ: {lower} distinct leads, Keel bound {upper}")
+    return lower

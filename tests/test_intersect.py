@@ -1,8 +1,8 @@
 """Intersection pairings, anticanonical degrees, and the exact matrix rank.
 
-Three independent oracles live here: a rank computed by dense rational
-elimination (checking the fraction-free integer route and the certified
-sparse route), a pairing read directly off curve trees (checking the
+Three independent oracles live here: a rank computed by rational
+elimination, dense or by sparse column reduction (checking the certified
+route), a pairing read directly off curve trees (checking the
 partition route), and the paper's pairing rule applied to label sets
 (checking the P-set and N-set route).  The rank certificate, built from the
 rows, is checked against a GF(2) elimination of every Keel relation and an
@@ -68,6 +68,31 @@ def rank_by_rational_elimination(rows):
         if rank == nrows:
             break
     return rank
+
+
+def rank_by_sparse_reduction(vectors):
+    """Rank over the rationals of ``vectors``, each reduced in turn against the pivots kept so far.
+
+    A vector is a sparse map from index to value, keyed when kept by its
+    largest nonzero index; one that leaves a remainder is kept.
+    """
+    pivots = {}
+    for vector in vectors:
+        v = {i: Fraction(x) for i, x in enumerate(vector) if x}
+        while v:
+            top = max(v)
+            if top not in pivots:
+                pivots[top] = v
+                break
+            w = pivots[top]
+            factor = v[top] / w[top]
+            for i, x in w.items():
+                y = v.get(i, 0) - factor * x
+                if y:
+                    v[i] = y
+                else:
+                    del v[i]
+    return len(pivots)
 
 
 def pairings_by_label_sets(sigmas, pi):
@@ -267,12 +292,13 @@ def test_matrix_shapes_and_entries():
 
 
 def test_matrix_rank_matches_the_rational_oracle():
-    # The certified sparse rank against both dense routes.
+    # The certified sparse rank against dense elimination, and at n = 8
+    # against a reduction of the columns, too slow densely.
     for n in (5, 6, 7):
         m = intersection_matrix(LabelSet.numbered(n))
         assert matrix_rank(m) == rank_by_rational_elimination(m.entries) == picard_rank(n)
     m8 = intersection_matrix(LabelSet.numbered(8))
-    assert matrix_rank(m8) == matrix_rank(m8.entries) == picard_rank(8)
+    assert matrix_rank(m8) == rank_by_sparse_reduction(zip(*m8.entries)) == picard_rank(8)
 
 
 def test_sparse_rank_matches_sympy():
@@ -297,8 +323,8 @@ def test_matrices_over_one_label_set_are_equal_and_hash_alike():
 
 def test_sparse_rank_heap_in_a_fresh_interpreter():
     # The certificate reads the lazy class stream one class at a time for
-    # its kernel check and holds only a lead count and the pair-row minor:
-    # the traced peak is about 0.09 MiB at n = 10.
+    # its kernel check and holds only the lead counts and the pair-row masks:
+    # the traced peak is about 0.07 MiB at n = 10.
     script = (
         "import tracemalloc\n"
         "from stablecurves import LabelSet, intersection_matrix, matrix_rank\n"
@@ -366,9 +392,11 @@ def column_leads(m):
 def test_keel_basis_is_in_the_left_kernel():
     for n in (5, 6, 7, 8):
         m = intersection_matrix(LabelSet.numbered(n))
-        basis = [[intersect._keel(k, l, sigma.part_b_mask) for sigma in m.rows] for k, l in intersect._basis_pairs(n)]
+        basis = [
+            [intersect._relation(k, l, sigma.part_b_mask) for sigma in m.rows] for k, l in intersect._basis_pairs(n)
+        ]
         assert len(basis) == len(keel_basis_over_gf2(m)) == n * (n - 3) // 2
-        assert matrix_rank(basis) == len(basis)
+        assert rank_by_rational_elimination(basis) == len(basis)
         for coefficients in basis:
             assert set(coefficients) == {-1, 0, 1}
             total = [0] * len(m.cols)
@@ -496,48 +524,29 @@ def test_sparse_rank_rejects_a_corrupted_relation(monkeypatch):
         matrix_rank(intersection_matrix(LabelSet.numbered(6)))
 
 
+def test_sparse_rank_rejects_relations_sharing_a_lead(monkeypatch):
+    # R(1, 2, 3, 4) in place of the last relation: the count is unchanged,
+    # so the bounds still meet, but the basis no longer certifies the upper one.
+    pairs = intersect._basis_pairs
+    monkeypatch.setattr(intersect, "_basis_pairs", lambda n: pairs(n)[:-1] + pairs(n)[:1])
+    with pytest.raises(InternalCheckError, match="^Keel relations lack distinct leads on the pair rows$"):
+        matrix_rank(intersection_matrix(LabelSet.numbered(6)))
+
+
+def test_sparse_rank_rejects_a_relation_without_a_lead(monkeypatch):
+    # R(1, 2, 3, 4) read as zero everywhere has no lead, and proves nothing.
+    relation = intersect._relation
+    monkeypatch.setattr(intersect, "_relation", lambda k, l, b: (k, l) != (2, 3) and relation(k, l, b))
+    with pytest.raises(InternalCheckError, match="^Keel relations lack distinct leads on the pair rows$"):
+        matrix_rank(intersection_matrix(LabelSet.numbered(6)))
+
+
 def test_sparse_rank_rejects_a_corrupted_column(monkeypatch):
     # Each class loses its first N-member.
     n_masks = intersect._n_masks
     monkeypatch.setattr(intersect, "_n_masks", lambda pi: n_masks(pi)[1:])
     with pytest.raises(InternalCheckError):
         matrix_rank(intersection_matrix(LabelSet.numbered(6)))
-
-
-def test_matrix_rank_edge_cases():
-    assert matrix_rank([]) == 0
-    for rows in (5, [5], [None]):
-        with pytest.raises(InvariantError, match="^matrix rows must be iterable$"):
-            matrix_rank(rows)
-    with pytest.raises(InvariantError, match="ragged matrix"):
-        matrix_rank([[1, 0], [1]])
-    # Floor division would floor these to rank 1; both have rank 2.
-    for rows in ([[1, 2], [2, 4.5]], [[Fraction(1, 2), 1], [1, 3]]):
-        with pytest.raises(InvariantError, match="^matrix entries must be integers$"):
-            matrix_rank(rows)
-    assert matrix_rank([[0, 0], [0, 0]]) == 0
-    assert matrix_rank([[0, 0, 0]]) == 0
-    assert matrix_rank([[2, 4], [1, 2]]) == 1
-    assert matrix_rank([[1, 0], [0, 1], [1, 1]]) == 2
-    wide = [[3, 1, 4, 1], [5, 9, 2, 6], [8, 10, 6, 7]]
-    assert matrix_rank(wide) == rank_by_rational_elimination(wide)
-
-
-def test_matrix_rank_random_style_cross_check():
-    # Deterministic pseudo-random integer matrices, exact cross-check.
-    value = 1
-    mats = []
-    for rows in (3, 4, 6):
-        mat = []
-        for r in range(rows):
-            row = []
-            for c in range(rows + 1):
-                value = (value * 31 + 17) % 97
-                row.append(value - 48)
-            mat.append(row)
-        mats.append(mat)
-    for mat in mats:
-        assert matrix_rank(mat) == rank_by_rational_elimination(mat)
 
 
 def test_intersection_matrix_rejects_n4():

@@ -36,7 +36,6 @@ from stablecurves import (
     forget_and_stabilize,
     intersection_matrix,
     make_tree,
-    matrix_rank,
     picard_rank,
     run_census,
     tree_violations,
@@ -49,7 +48,7 @@ EDGES = [(0, 1), (1, 2)]
 T = make_tree(TAILS, EDGES, S)
 
 # The values of the probe that found the escapes this gate closes.
-PROBE = [None, 5, 1.5, True, "x", [], [None], -1, (1, 2.5), [[1], [2]], [True, False]]
+PROBE = [None, 5, 1.5, True, "x", [], [None], -1, [-1], (1, 2.5), [[1], [2]], [True, False]]
 
 # Integers stay small: a label count is honoured, so a huge one would build
 # a huge label set, which is valid input and not what this gate looks for.
@@ -82,7 +81,6 @@ TABLE = {
     ("enumerate_trees", "codim"): (lambda x: enumerate_trees(S, x), MALFORMED),
     ("picard_rank", "n"): (picard_rank, MALFORMED),
     ("intersection_matrix", "max_n"): (lambda x: intersection_matrix(S, x), MALFORMED),
-    ("matrix_rank", "m"): (matrix_rank, SEQUENCES),
     ("run_census", "max_n"): (lambda x: run_census(S, x), MALFORMED),
 }
 
@@ -106,13 +104,19 @@ def time_bound(seconds: float):
 
 
 def call_within_the_gate(key, value):
-    """Call the entry ``key`` with ``value``: it returns or refuses, and anything else escapes."""
+    """Call the entry ``key`` with ``value``: it returns or refuses, and anything else escapes.
+
+    A returned value that has ``to_object()`` is rendered too, outside the
+    catch: a value accepted as valid must read back as one.
+    """
     call, _ = TABLE[key]
     with time_bound(2):
         try:
-            call(value)
+            result = call(value)
         except (InvariantError, ParseError):
-            pass
+            return
+        if hasattr(result, "to_object"):
+            result.to_object()
 
 
 def entry_id(key):

@@ -490,6 +490,11 @@ def test_constructor_keeps_a_repeated_cut_once():
         assert (built.vertex_tails, built.edges) == (single.vertex_tails, single.edges)
     with pytest.raises(InvariantError, match=r"^cuts must be integer masks, got \[1\.5\]$"):
         StableTree(LabelSet.numbered(5), [1.5])
+    # No side of a cut may be empty or reach past the labels, either way round.
+    for cuts in ([-1], [0], [64], [68]):
+        message = rf"^cuts must be proper nonempty subsets of the 6 labels, got \[{cuts[0]}\]$"
+        with pytest.raises(InvariantError, match=message):
+            StableTree(s, cuts)
 
 
 def test_tree_from_signature_rejects_crossing():
@@ -932,10 +937,10 @@ def test_stratum_totals_are_schroder_numbers():
     # smallest leaf, of j leaves; a tree on m >= 2 leaves is its root and a
     # forest of two or more trees, so f[m] = 2 t[m].
     t, f = [0, 1], [1, 1]
-    for m in range(2, 8):
+    for m in range(2, 9):
         t.append(sum(math.comb(m - 1, j - 1) * t[j] * f[m - j] for j in range(1, m)))
         f.append(2 * t[m])
-    for n in range(3, 9):
+    for n in range(3, 10):
         s = LabelSet.numbered(n)
         assert sum(len(enumerate_trees(s, codim)) for codim in range(n - 2)) == t[n - 1]
 
