@@ -4,9 +4,10 @@ A stable tree carries the labels as tails on its vertices; every vertex has
 at least three flags (tails plus edge ends).  Cutting any edge splits the
 labels into a stable 2-partition, and the set of these cuts determines the
 tree up to isomorphism.  A tree is therefore stored as its cut family, and
-its vertices and edges are derived from it in one canonical numbering per
-isomorphism class: vertex 0 holds the smallest label and the rest follow in
-breadth-first order, each edge stored as (parent, child).
+its vertices and edges are derived from it, the one place that checks the
+cuts form a stable tree, in one canonical numbering per isomorphism class:
+vertex 0 holds the smallest label and the rest follow in breadth-first
+order, each edge stored as (parent, child).
 
 This private module holds the tree, its raw intake and the surgery on one
 tree; :mod:`stablecurves.trees` re-exports its public names.
@@ -15,7 +16,6 @@ tree; :mod:`stablecurves.trees` re-exports its public names.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from ._base import InvariantError, _Record, _integer, _low_bit, bits_of
@@ -29,12 +29,13 @@ class StableTree(_Record):
     in any order, repeated or not, and keeps each cut once.  ``cuts``
     holds, for every edge, the side that avoids the smallest label; the
     masks are sorted as integers, so structural equality coincides with
-    isomorphism over the same label set.  The constructor refuses a mask
-    that is not a proper nonempty subset of the labels, but not cuts that
-    cross: :func:`make_tree` and :func:`tree_from_signature` check those.
+    isomorphism over the same label set.  The constructor refuses only a
+    mask that is not a proper nonempty subset of the labels.
 
     ``vertex_tails`` and ``edges`` are derived from the cuts on first use,
-    in the canonical numbering the module docstring describes.
+    in the canonical numbering the module docstring describes; the
+    derivation refuses crossing cuts and vertices with fewer than three
+    flags, so every reading of the shape refuses what is no stable tree.
     """
 
     label_set: LabelSet
@@ -62,23 +63,28 @@ class StableTree(_Record):
         k + 1, the child of that edge.
         """
         # Parent of a cut is its smallest proper superset in the family.  In
-        # ascending order the cuts still without a parent are pairwise
-        # disjoint, and a later cut that meets one of them contains it, as a
-        # superset has the larger value.  So each cut adopts the parentless
-        # cuts it meets, and those left at the end hang from vertex 0.
+        # ascending order the parentless cuts are pairwise disjoint, and a
+        # later cut meeting one contains it (a subset is smaller) or crosses
+        # it; a cut crossing any earlier cut crosses one of these.  Each cut
+        # adopts the parentless cuts it meets; the rest hang from vertex 0.
         kids: dict[int, list[int]] = {}
         top: list[int] = []
         for y in self.cuts:
             adopted: list[int] = []
             parentless = [y]
             for x in top:
-                (adopted if x & y else parentless).append(x)
+                if not x & y:
+                    parentless.append(x)
+                elif _masks_compatible(x, y):
+                    adopted.append(x)
+                else:
+                    raise InvariantError(f"incompatible set: cuts {x} and {y} cross")
             kids[y] = adopted
             top = parentless
         kids[self.label_set.full_mask] = top
 
         # Breadth-first from vertex 0: the list of sides grows while it is
-        # read, and vertex v is the one with side sides[v].
+        # read, and vertex v, the one with side sides[v], needs three flags.
         sides = [self.label_set.full_mask]
         vertex_tails: list[int] = []
         edges: list[tuple[int, int]] = []
@@ -92,7 +98,9 @@ class StableTree(_Record):
                 neighbours[v].append(child)
                 neighbours.append([v])
                 sides.append(c)
-            vertex_tails.append(m & ~inner)
+            vertex_tails.append(tails := m & ~inner)
+            if (flags := tails.bit_count() + len(neighbours[v])) < 3:
+                raise InvariantError(f"unstable vertex {v}: only {flags} flags")
         return tuple(vertex_tails), tuple(edges), tuple(sides), tuple([tuple(a) for a in neighbours])
 
     @property
@@ -298,12 +306,11 @@ def tree_from_signature(sig: PartitionSetSignature) -> StableTree:
     s, parts = sig.label_set, sig.partitions
     if any(p.label_set != s for p in parts):
         raise InvariantError("signature element over a different label set")
-    if len({p.part_b_mask for p in parts}) != len(parts):
+    if len(set(parts)) != len(parts):
         raise InvariantError("signature elements must be distinct")
-    for x, y in combinations(parts, 2):
-        if not _masks_compatible(x.part_b_mask, y.part_b_mask):
-            raise InvariantError(f"incompatible set: {x.literal()} crosses {y.literal()}")
-    return StableTree(s, [p.part_b_mask for p in parts])
+    t = StableTree(s, [p.part_b_mask for p in parts])
+    t._layout  # refuses crossing cuts here, not at the first reading
+    return t
 
 
 def contract_edge(t: StableTree, e: Sequence[int]) -> StableTree:

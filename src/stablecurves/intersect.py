@@ -28,8 +28,6 @@ from .partitions import (
 if TYPE_CHECKING:
     from fractions import Fraction
 
-    from .trees import StableTree
-
 __all__ = [
     "IntersectionMatrix",
     "pair_divisor_curve",
@@ -103,22 +101,19 @@ def minus_k_divisor_coefficients(s: LabelSet) -> dict[TwoPartition, Fraction]:
     }
 
 
-def pi_of_tree(t: StableTree) -> DistinguishedPartition:
-    # Imports ``trees`` on first use only; bench/spans.py patches this name.
+def pi_of_tree(t) -> DistinguishedPartition:
+    # Kept only because bench/spans.py patches this name; nothing here calls it.
     from .trees import pi_of_tree
 
     return pi_of_tree(t)
 
 
-def minus_k_expanded(pi_or_tree: DistinguishedPartition | StableTree) -> int:
+def minus_k_expanded(pi: DistinguishedPartition) -> int:
     """Anticanonical degree recomputed through the divisor expansion.
 
     Sums the coefficients 2 - j(n - j)/(n - 1) over the divisors meeting
-    the curve class, by :func:`_degree`.  A curve tree is accepted and
-    reduced to its 4-block partition first; ``trees`` is imported only
-    when a tree is passed.
+    the curve class, by :func:`_degree`.
     """
-    pi = pi_or_tree if isinstance(pi_or_tree, DistinguishedPartition) else pi_of_tree(pi_or_tree)
     _require_labels(pi.label_set, 5)
     n = pi.label_set.n
     return _degree(lambda b: _minus_k_numerator(n, b), n - 1, pi)

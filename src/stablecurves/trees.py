@@ -62,8 +62,9 @@ __all__ = [
 def exceptional_vertex(t: StableTree) -> int:
     """Index of the unique 4-flag vertex of a one-dimensional stratum tree.
 
-    Defined only for trees with n - 4 edges, where exactly one vertex has
-    four flags and every other vertex has three.
+    Defined only for trees with n - 4 edges: each vertex has three flags or
+    more, and the excess sums to n - 3 less the edge count, so exactly one
+    vertex has four flags and every other vertex has three.
     """
     n = t.label_set.n
     if t.codimension != n - 4:
@@ -72,11 +73,7 @@ def exceptional_vertex(t: StableTree) -> int:
             f"not a curve tree: expected {n - 4} edges, got {t.codimension}"
         )
     vertex_tails, _, _, neighbours = t._layout
-    flags = [m.bit_count() + len(adj) for m, adj in zip(vertex_tails, neighbours)]
-    quad = [v for v, f in enumerate(flags) if f == 4]
-    if len(quad) != 1:
-        raise InvariantError("not a curve tree: no unique 4-flag vertex")
-    return quad[0]
+    return [m.bit_count() + len(adj) for m, adj in zip(vertex_tails, neighbours)].index(4)
 
 
 def pi_of_tree(t: StableTree) -> DistinguishedPartition:

@@ -688,7 +688,7 @@ LIBRARY = (
     "t = sc.make_tree([[1, 2], [3], [4, 5, 6]], [(0, 1), (1, 2)], s)\n"
     "sig, pi = sc.signature(t), sc.pi_of_tree(t)\n"
     "sc.contract_edge(t, (0, 1)), sc.forget_and_stabilize(t, [1]), sc.unlabeled_type_key(t)\n"
-    "sc.pair_divisor_curve(sig.partitions[0], pi), sc.minus_k_expanded(t)\n"
+    "sc.pair_divisor_curve(sig.partitions[0], pi), sc.minus_k_expanded(pi)\n"
     "t.to_object(), sc.run_census(s).to_tsv()\n"
     "curves = sc.enumerate_curve_trees(s)\n"
     "assert curves == sc.enumerate_curve_trees(s)\n"
@@ -793,6 +793,8 @@ def test_every_entry_point_compiles_only_small_modules():
                 nodes[name] = sum(1 for _ in ast.walk(ast.parse(source)))
         big = {name: count for name, count in nodes.items() if count > MAX_AST_NODES}
         assert not big, (argv or code, big)
+    for name, count in sorted(nodes.items(), key=lambda item: -item[1]):
+        print(f"{name}: {count} AST nodes, {MAX_AST_NODES - count} below the cap")
     # Every module of the package is loaded by some entry point; runpy runs
     # ``__main__`` without registering it.
     modules = {p.stem for p in Path(stablecurves.__file__).parent.glob("*.py")}

@@ -21,7 +21,6 @@ from stablecurves import (
     InternalCheckError,
     InvariantError,
     LabelSet,
-    PartitionSetSignature,
     TwoPartition,
     enumerate_curve_trees,
     enumerate_distinguished,
@@ -36,7 +35,6 @@ from stablecurves import (
     pair_divisor_curve,
     pi_of_tree,
     picard_rank,
-    tree_from_signature,
 )
 from stablecurves import intersect
 
@@ -217,19 +215,6 @@ def test_minus_k_expanded_examples():
     s7 = LabelSet.numbered(7)
     assert minus_k_expanded(DistinguishedPartition.of(s7, [[1], [2, 3], [4, 5], [6, 7]])) == -1
     assert minus_k_expanded(DistinguishedPartition.of(s7, [[1, 2, 3, 4], [5], [6], [7]])) == 1
-
-
-def test_minus_k_expanded_accepts_curve_tree():
-    s = LabelSet.numbered(6)
-    for tree in islice(enumerate_curve_trees(s), 20):
-        assert minus_k_expanded(tree) == minus_k_closed(pi_of_tree(tree))
-
-
-def test_minus_k_expanded_rejects_a_tree_that_is_not_a_curve_tree():
-    s = LabelSet.numbered(6)
-    divisor_tree = tree_from_signature(PartitionSetSignature(s, [TwoPartition.of(s, [1, 2])]))
-    with pytest.raises(InvariantError, match="^not a curve tree: expected 2 edges, got 1$"):
-        minus_k_expanded(divisor_tree)
 
 
 def test_minus_k_expanded_rejects_n4():

@@ -47,8 +47,10 @@ TAILS = [[1, 2], [3], [4, 5, 6]]
 EDGES = [(0, 1), (1, 2)]
 T = make_tree(TAILS, EDGES, S)
 
-# The values of the probe that found the escapes this gate closes.
-PROBE = [None, 5, 1.5, True, "x", [], [None], -1, [-1], (1, 2.5), [[1], [2]], [True, False]]
+# The values of the probe that found the escapes this gate closes.  As
+# cuts, [6, 12] is the crossing pair {2, 3} and {3, 4}, and [2] cuts off
+# label 2 alone.
+PROBE = [None, 5, 1.5, True, "x", [], [None], -1, [-1], (1, 2.5), [[1], [2]], [True, False], [6, 12], [2]]
 
 # Integers stay small: a label count is honoured, so a huge one would build
 # a huge label set, which is valid input and not what this gate looks for.
@@ -58,7 +60,9 @@ ATOMS = st.one_of(
 MALFORMED = st.recursive(ATOMS, lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner), max_leaves=8)
 SEQUENCES = st.lists(MALFORMED, max_size=5)
 
-# (callable, parameter) -> (the call with that parameter set to a value, its strategy)
+# (callable, parameter) -> (the call with that parameter set to a value, its strategy).
+# A tree's cuts are checked where its shape is first derived, so the
+# StableTree row reads the shape inside the call.
 TABLE = {
     ("LabelSet", "labels"): (LabelSet, SEQUENCES),
     ("LabelSet.numbered", "n"): (LabelSet.numbered, MALFORMED),
@@ -69,7 +73,7 @@ TABLE = {
     ("DistinguishedPartition", "block_masks"): (lambda x: DistinguishedPartition(S, x), SEQUENCES),
     ("DistinguishedPartition.of", "blocks"): (lambda x: DistinguishedPartition.of(S, x), SEQUENCES),
     ("enumerate_stable_two_partitions", "max_n"): (lambda x: enumerate_stable_two_partitions(S, x), MALFORMED),
-    ("StableTree", "cuts"): (lambda x: StableTree(S, x), SEQUENCES),
+    ("StableTree", "cuts"): (lambda x: StableTree(S, x).to_object(), SEQUENCES),
     ("StableTree.tails_at", "v"): (T.tails_at, MALFORMED),
     ("make_tree", "vertex_tails"): (lambda x: make_tree(x, EDGES, S), SEQUENCES),
     ("make_tree", "edges"): (lambda x: make_tree(TAILS, x, S), SEQUENCES),

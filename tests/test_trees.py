@@ -504,6 +504,42 @@ def test_tree_from_signature_rejects_crossing():
         tree_from_signature(sig)
 
 
+def test_every_shape_reading_refuses_a_cut_family_that_is_not_a_stable_tree():
+    # Built straight from the constructor, which checks only that each mask
+    # is in range: two crossing pairs, a cut off one label on either side,
+    # and a star on two labels.  The layout refuses each, so every reading
+    # of the shape does; the curve-tree readings may refuse the edge count
+    # first.
+    s6 = LabelSet.numbered(6)
+    families = {
+        (s6, (6, 12)): "^incompatible set: cuts 6 and 12 cross$",
+        (s6, (12, 24)): "^incompatible set: cuts 12 and 24 cross$",
+        (s6, (2,)): "^unstable vertex 1: only 2 flags$",
+        (s6, (62,)): "^unstable vertex 0: only 2 flags$",
+        (LabelSet.numbered(2), ()): "^unstable vertex 0: only 2 flags$",
+    }
+    layout_readings = [
+        lambda t: t.vertex_tails,
+        lambda t: t.edges,
+        lambda t: t.tails_at(0),
+        StableTree.to_object,
+        lambda t: edge_cut(t, (0, 1)),
+        lambda t: contract_edge(t, (0, 1)),
+        unlabeled_type_key,
+    ]
+    for (s, cuts), message in families.items():
+        for reading in layout_readings:
+            with pytest.raises(InvariantError, match=message):
+                reading(StableTree(s, cuts))
+        for reading in (exceptional_vertex, pi_of_tree):
+            with pytest.raises(InvariantError):
+                reading(StableTree(s, cuts))
+    # A signature reads its layout once, so it refuses at the call.
+    sig = PartitionSetSignature(s6, [TwoPartition(s6, 6), TwoPartition(s6, 12)])
+    with pytest.raises(InvariantError, match="^incompatible set: cuts 6 and 12 cross$"):
+        tree_from_signature(sig)
+
+
 def test_tree_from_signature_rejects_duplicates():
     s = LabelSet.numbered(6)
     sigma = TwoPartition.of(s, [2, 3])
@@ -668,10 +704,10 @@ def test_exceptional_vertex_rejects_wrong_codimension():
 
 def test_curve_tree_readings_refuse_crossing_cuts():
     # Built straight from the constructor, past the intake: the cuts {3, 4}
-    # and {4, 5} cross, so the derived layout has no unique 4-flag vertex.
+    # and {4, 5} cross, so the derived layout refuses them.
     t = StableTree(LabelSet.numbered(6), (12, 24))
     for reading in (exceptional_vertex, pi_of_tree):
-        with pytest.raises(InvariantError, match="^not a curve tree: no unique 4-flag vertex$"):
+        with pytest.raises(InvariantError, match="^incompatible set: cuts 12 and 24 cross$"):
             reading(t)
 
 
