@@ -35,7 +35,8 @@ class StableTree(_Record):
     ``vertex_tails`` and ``edges`` are derived from the cuts on first use,
     in the canonical numbering the module docstring describes; the
     derivation refuses crossing cuts and vertices with fewer than three
-    flags, so every reading of the shape refuses what is no stable tree.
+    flags, so every reading of the shape, :func:`signature` and
+    :func:`forget_and_stabilize` refuse what is no stable tree.
     """
 
     label_set: LabelSet
@@ -293,7 +294,8 @@ def edge_cut(t: StableTree, e: Sequence[int]) -> TwoPartition:
 
 
 def signature(t: StableTree) -> PartitionSetSignature:
-    """The set of edge cuts of ``t``, the complete isomorphism invariant."""
+    """The edge cuts of ``t``, the complete isomorphism invariant; its layout refuses what is no tree."""
+    t._layout
     return PartitionSetSignature(t.label_set, [TwoPartition(t.label_set, m) for m in t.cuts])
 
 
@@ -326,8 +328,9 @@ def forget_and_stabilize(t: StableTree, q: Iterable) -> StableTree:
     are still stable 2-partitions are the cuts of the result; this is the
     same as smoothing away bare vertices of degree two and merging
     degree-one vertices into their neighbors.  At least three labels must
-    stay.
+    stay.  Like :func:`signature`, it refuses what is no tree.
     """
+    t._layout
     s = t.label_set
     keep_mask = s.full_mask ^ s.mask_of(q)
     if keep_mask.bit_count() < 3:

@@ -20,6 +20,7 @@ from .partitions import (
     _format_shape,
     _n_masks,
     _p_masks,
+    _require_bound,
     _require_labels,
     enumerate_distinguished,
     enumerate_stable_two_partitions,
@@ -141,15 +142,21 @@ class IntersectionMatrix(_Record):
     """The divisor-by-curve-class pairing table over one label set.
 
     Rows follow the canonical 2-partition order, columns the canonical
-    4-block partition order.  Only the rows and the columns are stored, the
-    columns as the lazy, sized stream of :func:`enumerate_distinguished`,
-    which every reader walks afresh.  The dense ``entries`` table is built on
-    first use and then kept, and :func:`matrix_rank` never needs it.
+    4-block partition order.  Only the label set is stored, so the table is
+    whole.  ``rows`` (under no bound of its own) and the dense ``entries`` are
+    built on first use and kept; ``cols`` is the lazy, sized stream of
+    :func:`enumerate_distinguished`, and :func:`matrix_rank` needs no entry.
     """
 
     label_set: LabelSet
-    rows: tuple[TwoPartition, ...]
-    cols: _DistinguishedPartitions
+
+    @cached_property
+    def rows(self) -> tuple[TwoPartition, ...]:
+        return tuple(enumerate_stable_two_partitions(self.label_set, self.label_set.n))
+
+    @cached_property
+    def cols(self) -> _DistinguishedPartitions:
+        return enumerate_distinguished(self.label_set)
 
     @cached_property
     def entries(self) -> tuple[tuple[int, ...], ...]:
@@ -185,14 +192,14 @@ class IntersectionMatrix(_Record):
 def intersection_matrix(s: LabelSet, max_n: int | None = None) -> IntersectionMatrix:
     """Pairing table of all boundary divisors against all curve classes.
 
-    Enumerates the rows, bounded by ``max_n``; the columns stay a lazy
-    stream, so no column object and no cell is held here.  Each column
-    holds +1 on its P-members and -1 on its N-members, read off its blocks
-    when ``entries`` walks the stream.
+    Refuses more than ``max_n`` labels and builds nothing: the rows are
+    enumerated on first reading and the columns stay a lazy stream.  Each
+    column holds +1 on its P-members and -1 on its N-members, read off its
+    blocks when ``entries`` walks the stream.
     """
     _require_labels(s, 5)
-    rows = tuple(enumerate_stable_two_partitions(s, max_n=max_n))
-    return IntersectionMatrix(s, rows, enumerate_distinguished(s))
+    _require_bound(s, max_n)
+    return IntersectionMatrix(s)
 
 
 def _keel(k: int, l: int, b: int) -> int:

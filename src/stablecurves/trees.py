@@ -32,7 +32,6 @@ from ._tree import (
 from .partitions import (
     DistinguishedPartition,
     LabelSet,
-    _DistinguishedPartitions,
     _require_bound,
     _require_labels,
     _shape_counts,
@@ -145,22 +144,22 @@ def _curve_trees_in_class(pi: DistinguishedPartition) -> Iterator[StableTree]:
 class CurveTrees(_Record):
     """The curve trees over a label set, built one at a time as they are read.
 
-    ``classes`` is the lazy stream of :func:`enumerate_distinguished`, and
-    trees come grouped by their 4-block partition in its order.  Equal, and
-    hashed alike, when the class streams are.  The length is the closed-form
-    count, summed over block-size shapes, so it costs no class and no tree.
-    Every iteration starts afresh; ``list(...)`` gives random access.
+    Trees come grouped by their 4-block partition, in the order of
+    :func:`enumerate_distinguished`, which each pass walks afresh.  Equal,
+    and hashed alike, when the label sets are.  The length is the
+    closed-form count, summed over block-size shapes, so it costs no class
+    and no tree.  ``list(...)`` gives random access.
     """
 
-    classes: _DistinguishedPartitions
+    label_set: LabelSet
 
     def __len__(self) -> int:
-        counts = _shape_counts(self.classes.label_set.n)
+        counts = _shape_counts(self.label_set.n)
         return _length(sum(count * _class_size(shape) for shape, count in counts.items()))
 
     def __iter__(self) -> Iterator[StableTree]:
         produced = 0
-        for pi in self.classes:
+        for pi in enumerate_distinguished(self.label_set):
             for tree in _curve_trees_in_class(pi):
                 produced += 1
                 yield tree
@@ -173,7 +172,8 @@ def enumerate_curve_trees(s: LabelSet) -> CurveTrees:
     The result is a lazy, sized, re-iterable :class:`CurveTrees`, which
     builds each class and tree only when read, so it takes no ``max_n``.
     """
-    return CurveTrees(enumerate_distinguished(s))
+    _require_labels(s, 4)
+    return CurveTrees(s)
 
 
 def enumerate_trees(s: LabelSet, codim: int) -> list[StableTree]:

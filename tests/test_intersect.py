@@ -17,8 +17,10 @@ from itertools import combinations, islice, permutations
 import pytest
 
 from stablecurves import (
+    CurveTrees,
     DistinguishedPartition,
     InternalCheckError,
+    IntersectionMatrix,
     InvariantError,
     LabelSet,
     TwoPartition,
@@ -291,6 +293,25 @@ def test_sparse_rank_matches_sympy():
     for n in (5, 6, 7):
         m = intersection_matrix(LabelSet.numbered(n))
         assert matrix_rank(m) == sympy.Matrix(m.entries).rank()
+
+
+def test_a_matrix_and_its_curve_trees_are_their_label_set():
+    # Neither type takes rows, columns or classes of its own, so the rank
+    # certificate, which holds only for the whole table, always applies.
+    for n in (5, 6, 7, 8):
+        s = LabelSet.numbered(n)
+        m = IntersectionMatrix(s)
+        assert m == intersection_matrix(s) and hash(m) == hash(intersection_matrix(s))
+        assert matrix_rank(m) == picard_rank(n)
+    s = LabelSet.numbered(6)
+    m = intersection_matrix(s)
+    assert m.rows == tuple(enumerate_stable_two_partitions(s)) and m.cols == enumerate_distinguished(s)
+    with pytest.raises(TypeError):
+        IntersectionMatrix(s, m.rows[:-1], m.cols)
+    curves = CurveTrees(s)
+    assert curves == enumerate_curve_trees(s) and len(curves) == len(enumerate_curve_trees(s))
+    with pytest.raises(TypeError):
+        CurveTrees(s, enumerate_distinguished(s))
 
 
 def test_sparse_rank_never_builds_the_dense_table():

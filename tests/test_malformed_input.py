@@ -14,6 +14,7 @@ from __future__ import annotations
 import inspect
 import re
 import signal
+import sys
 from contextlib import contextmanager
 from types import FunctionType
 
@@ -140,15 +141,14 @@ def test_malformed_values_return_or_are_refused(key, data):
     call_within_the_gate(key, data.draw(TABLE[key][1]))
 
 
-def raw_value_parameters() -> set[tuple[str, str]]:
-    """(callable, parameter) for each parameter of a public callable not typed as records alone.
+def public_callables() -> tuple[list[tuple[str, object]], dict[str, type]]:
+    """Every public callable as (name, callable), and the exported record classes by name.
 
-    A class counts by its constructor and its public methods.  A record class
-    that keeps the assigning ``_Record.__init__`` is a result type: it
-    checks nothing it is given, so its fields are no input to refuse.
+    A class counts by its constructor, when it writes its own, and by its
+    public methods.
     """
     public = {name: getattr(stablecurves, name) for name in stablecurves.__all__}
-    records = {name for name, obj in public.items() if isinstance(obj, type) and issubclass(obj, _Record)}
+    records = {name: obj for name, obj in public.items() if isinstance(obj, type) and issubclass(obj, _Record)}
     entries = []
     for name, obj in public.items():
         if not isinstance(obj, type):
@@ -162,14 +162,48 @@ def raw_value_parameters() -> set[tuple[str, str]]:
         for attr, member in vars(obj).items():
             if not attr.startswith("_") and isinstance(member, (FunctionType, classmethod)):
                 entries.append((f"{name}.{attr}", getattr(obj, attr)))
+    return entries, records
+
+
+def raw_value_parameters() -> set[tuple[str, str]]:
+    """(callable, parameter) for each parameter of a public callable not typed as records alone.
+
+    A record parameter stays out of the table: a validating record checks
+    its input in its own constructor, and a result record, which keeps the
+    assigning ``_Record.__init__`` and checks nothing it is given, must have
+    only validating records as fields, which the test below requires.
+    """
+    entries, records = public_callables()
     raw = set()
     for qualname, func in entries:
         for p in inspect.signature(func).parameters.values():
             alternatives = str(p.annotation).split("|")
-            if p.name != "self" and not all(set(re.findall(r"\w+", a)) & records for a in alternatives):
+            if p.name != "self" and not all(set(re.findall(r"\w+", a)) & set(records) for a in alternatives):
                 raw.add((qualname, p.name))
     return raw
 
 
 def test_the_table_covers_every_raw_value_parameter():
     assert raw_value_parameters() == set(TABLE)
+
+
+def test_a_result_record_taken_as_input_holds_only_validating_records():
+    # A result record assigns what it is given, so any field that is not a
+    # record checking its own input is a value no one refuses: a caller could
+    # hand matrix_rank rows its certificate does not cover.
+    entries, records = public_callables()
+    taken, unchecked = set(), set()
+    for qualname, func in entries:
+        for p in inspect.signature(func).parameters.values():
+            for name in set(re.findall(r"\w+", str(p.annotation))) & set(records):
+                cls = records[name]
+                if cls.__init__ is not _Record.__init__:
+                    continue
+                taken.add((qualname, p.name))
+                for field, annotation in cls.__annotations__.items():
+                    kind = vars(sys.modules[cls.__module__]).get(annotation)
+                    validating = isinstance(kind, type) and issubclass(kind, _Record)
+                    if not validating or kind.__init__ is _Record.__init__:
+                        unchecked.add((qualname, p.name, f"{name}.{field}: {annotation}"))
+    assert ("matrix_rank", "m") in taken
+    assert not unchecked

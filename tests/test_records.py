@@ -43,12 +43,12 @@ FIELDS = {
     DistinguishedPartition: ("label_set", "block_masks"),
     StableTree: ("label_set", "cuts"),
     PartitionSetSignature: ("label_set", "partitions"),
-    IntersectionMatrix: ("label_set", "rows", "cols"),
+    IntersectionMatrix: ("label_set",),
     TypeRecord: ("type_key", "name", "representative", "curve_count", "minus_k"),
     ClassShapeRecord: ("shape", "class_count", "curves_per_class", "curves_per_class_by_type", "minus_k"),
     CensusReport: ("n", "types", "classes", "total_curves", "total_classes"),
     _DistinguishedPartitions: ("label_set",),
-    CurveTrees: ("classes",),
+    CurveTrees: ("label_set",),
 }
 
 

@@ -508,8 +508,9 @@ def test_every_shape_reading_refuses_a_cut_family_that_is_not_a_stable_tree():
     # Built straight from the constructor, which checks only that each mask
     # is in range: two crossing pairs, a cut off one label on either side,
     # and a star on two labels.  The layout refuses each, so every reading
-    # of the shape does; the curve-tree readings may refuse the edge count
-    # first.
+    # of the shape does, as do signature and forget_and_stabilize, which
+    # read the layout first; the curve-tree readings may refuse the edge
+    # count first.
     s6 = LabelSet.numbered(6)
     families = {
         (s6, (6, 12)): "^incompatible set: cuts 6 and 12 cross$",
@@ -526,6 +527,8 @@ def test_every_shape_reading_refuses_a_cut_family_that_is_not_a_stable_tree():
         lambda t: edge_cut(t, (0, 1)),
         lambda t: contract_edge(t, (0, 1)),
         unlabeled_type_key,
+        signature,
+        lambda t: forget_and_stabilize(t, []),
     ]
     for (s, cuts), message in families.items():
         for reading in layout_readings:
