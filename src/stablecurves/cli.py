@@ -141,7 +141,8 @@ def _cmd_matrix(args: argparse.Namespace) -> tuple[str | tuple[dict, dict], int]
 
 def _cmd_tree(args: argparse.Namespace) -> tuple[str | tuple[dict, dict], int]:
     from .literals import parse_edge, parse_forget_set, parse_tree_literal
-    from ._tree import StableTree, _intake, forget_and_stabilize, signature
+    from ._raw import _intake
+    from ._tree import StableTree, forget_and_stabilize, signature
 
     parameters = {"action": args.action, "tree": args.tree}
     try:

@@ -1,8 +1,8 @@
 """Stable dual trees: the curve-tree walk and the canonical shape key.
 
-The stable tree, its raw intake and the surgery on one tree live in the
-private core :mod:`stablecurves._tree`; this module re-exports them, so its
-``__all__`` names the whole tree layer.  What it adds reads curve trees,
+The stable tree and the surgery on one tree live in the private core
+:mod:`stablecurves._tree`, and the raw intake in :mod:`stablecurves._raw`;
+this module re-exports them, so its ``__all__`` names the whole tree layer.  What it adds reads curve trees,
 the trees of the one-dimensional strata, with n - 4 edges: the 4-flag
 vertex and 4-block partition of one curve tree, every curve tree class by
 class from a per-size memo of the ways a block hangs below an edge, all
@@ -18,16 +18,15 @@ from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 from ._base import InvariantError, _Record, _check_internal, _integer, _length, bits_of
+from ._raw import make_tree, tree_violations
 from ._tree import (
     PartitionSetSignature,
     StableTree,
     contract_edge,
     edge_cut,
     forget_and_stabilize,
-    make_tree,
     signature,
     tree_from_signature,
-    tree_violations,
 )
 from .partitions import (
     DistinguishedPartition,
@@ -154,6 +153,7 @@ class CurveTrees(_Record):
     label_set: LabelSet
 
     def __len__(self) -> int:
+        _require_labels(self.label_set, 4)
         counts = _shape_counts(self.label_set.n)
         return _length(sum(count * _class_size(shape) for shape, count in counts.items()))
 

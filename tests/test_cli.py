@@ -702,14 +702,15 @@ CHAIN = "[1,2];[3];[4,5,6]/0-1,1-2"
 CLI = {"_base", "cli", "partitions"}
 PAIRINGS = {*CLI, "intersect"}
 READ_PI = {*PAIRINGS, "literals"}
-TREE = {*CLI, "literals", "_tree"}
+TREE = {*CLI, "literals", "_tree", "_raw"}
 ENTRY_POINTS = [
     ("import stablecurves", [], set()),
     ("import stablecurves.cli", [], CLI),
     ("from stablecurves import cli", [], CLI),
     ("import stablecurves.intersect", [], {"_base", "partitions", "intersect"}),
-    (QUERIES, [], {"_base", "partitions", "_tree", "trees", "intersect"}),
-    (LIBRARY, [], {"_base", "partitions", "_tree", "trees", "intersect", "census"}),
+    ("import stablecurves._tree", [], {"_base", "partitions", "_tree"}),
+    (QUERIES, [], {"_base", "partitions", "_tree", "_raw", "trees", "intersect"}),
+    (LIBRARY, [], {"_base", "partitions", "_tree", "_raw", "trees", "intersect", "census"}),
     (MAIN, ["--version"], CLI),
     (MAIN, ["--help"], CLI),
     (MAIN, ["tree", "--action", "signature", "--tree", "[1,2];[3,4,5]/0-1"], TREE),
@@ -724,7 +725,7 @@ ENTRY_POINTS = [
     (MAIN, ["matrix", "--n", "5"], PAIRINGS),
     (MAIN, ["matrix", "--n", "5", "--action", "emit"], {*PAIRINGS, "literals"}),
     (MAIN, ["matrix", "--n", "5", "--action", "emit", "--format", "tsv"], {*PAIRINGS, "literals"}),
-    (MAIN, ["census", "--n", "5"], {*PAIRINGS, "_tree", "trees", "census"}),
+    (MAIN, ["census", "--n", "5"], {*PAIRINGS, "_tree", "_raw", "trees", "census"}),
 ]
 
 

@@ -312,6 +312,11 @@ def test_a_matrix_and_its_curve_trees_are_their_label_set():
     assert curves == enumerate_curve_trees(s) and len(curves) == len(enumerate_curve_trees(s))
     with pytest.raises(TypeError):
         CurveTrees(s, enumerate_distinguished(s))
+    # Too few labels for a curve tree: the length refuses as the walk does.
+    few = CurveTrees(LabelSet.numbered(3))
+    for read in (len, list):
+        with pytest.raises(InvariantError, match="^operation needs at least 4 labels, got 3$"):
+            read(few)
 
 
 def test_sparse_rank_never_builds_the_dense_table():
