@@ -45,16 +45,13 @@ __all__ = [
 def pair_divisor_curve(sigma: TwoPartition, pi: DistinguishedPartition) -> int:
     """Pairing of the divisor of ``sigma`` with the curve class of ``pi``.
 
-    Returns +1 on the P-set of pi, -1 on its N-set, and 0 otherwise.
+    Returns +1 on the P-set of pi, -1 on its N-set, and 0 otherwise: the
+    degree, by :func:`_degree`, of the divisor weighted 1 at sigma alone.
     """
     if sigma.label_set != pi.label_set:
         raise InvariantError("sigma and pi must use the same labels")
     _require_labels(sigma.label_set, 5)
-    if sigma.part_b_mask in _p_masks(pi):
-        return 1
-    if sigma.part_b_mask in _n_masks(pi):
-        return -1
-    return 0
+    return _degree(lambda b: b == sigma.part_b_mask, 1, pi)
 
 
 def _degree(coefficient: Callable[[int], int], denominator: int, pi: DistinguishedPartition) -> int:

@@ -181,6 +181,8 @@ class DistinguishedPartition(_Record):
     def __init__(self, label_set: LabelSet, block_masks: Iterable[int]) -> None:
         try:
             masks = tuple(sorted(block_masks, key=_low_bit))
+            if bool in map(type, masks):  # a bool sorts and pairs as 0 or 1 but reads as no mask
+                raise TypeError
         except TypeError:
             raise InvariantError(f"blocks must be integer masks, got {block_masks!r}") from None
         object.__setattr__(self, "label_set", label_set)

@@ -10,7 +10,14 @@ import tracemalloc
 from pathlib import Path
 
 import stablecurves
-from stablecurves import compatible, edge_cut, exceptional_vertex, signature
+from stablecurves import (
+    DistinguishedPartition,
+    TwoPartition,
+    compatible,
+    edge_cut,
+    exceptional_vertex,
+    signature,
+)
 
 
 def stirling_4(n):
@@ -29,6 +36,22 @@ def as_pair(sigma):
 def odd_product_class_size(pi):
     """Curves in the class of ``pi``: 1 * 3 * ... * (2k - 3) for each block of k labels."""
     return math.prod(math.prod(range(2 * len(b) - 3, 0, -2)) for b in pi.blocks)
+
+
+def act(perm, x):
+    """The relabelling ``perm`` applied to a 2-partition or 4-block partition.
+
+    ``perm[i]`` is where the ``i``-th smallest label goes.  Each mask bit is
+    moved, and the record is rebuilt by its constructor, so the canonical
+    side and the block order are derived again rather than carried over.
+    """
+
+    def image(mask):
+        return sum(1 << perm[i] for i in range(len(perm)) if mask >> i & 1)
+
+    if isinstance(x, TwoPartition):
+        return TwoPartition(x.label_set, image(x.part_b_mask))
+    return DistinguishedPartition(x.label_set, [image(m) for m in x.block_masks])
 
 
 def pair_via_curve_tree(sigma, tree):

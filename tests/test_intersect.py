@@ -1,10 +1,12 @@
 """Intersection pairings, anticanonical degrees, and the exact matrix rank.
 
-Three independent oracles live here: a rank computed by rational
+Four independent oracles live here: a rank computed by rational
 elimination, dense or by sparse column reduction (checking the certified
 route), a pairing read directly off curve trees (checking the
-partition route), and the paper's pairing rule applied to label sets
-(checking the P-set and N-set route).  The rank certificate, built from the
+partition route), the paper's pairing rule applied to label sets
+(checking the P-set and N-set route), and relabelling, under which every
+pairing and degree is invariant (checking the conventions that single out
+the smallest label).  The rank certificate, built from the
 rows, is checked against a GF(2) elimination of every Keel relation and an
 exhaustive walk of the column leads, both for n <= 10.
 """
@@ -40,7 +42,7 @@ from stablecurves import (
 )
 from stablecurves import intersect
 
-from _support import pair_via_curve_tree, run_python
+from _support import act, pair_via_curve_tree, run_python
 
 
 # ---------------------------------------------------------------- oracles
@@ -175,6 +177,38 @@ def test_pairing_matches_curve_tree_route():
             pi = pi_of_tree(tree)
             for sigma in sigmas:
                 assert pair_via_curve_tree(sigma, tree) == pair_divisor_curve(sigma, pi)
+
+
+def test_pairings_and_degrees_are_invariant_under_relabelling():
+    # Every stored convention singles out the smallest label, so a relabelling
+    # that moves it checks that the conventions are derived, not assumed.
+    # String labels let sort order, not integer value, pick that label.
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @st.composite
+    def relabellings(draw):
+        n = draw(st.integers(5, 7))
+        if draw(st.booleans()):
+            s = LabelSet.numbered(n)
+        else:
+            s = LabelSet(draw(st.sets(st.text("ab19", min_size=1, max_size=3), min_size=n, max_size=n)))
+        return s, draw(st.permutations(range(n)))
+
+    @settings(max_examples=12, deadline=None, database=None, derandomize=True)
+    @given(relabellings())
+    def check(relabelling):
+        s, perm = relabelling
+        degrees = (minus_k_closed, minus_k_expanded, k_plus_b_pairing)
+        sigmas = enumerate_stable_two_partitions(s)
+        moved = [act(perm, sigma) for sigma in sigmas]
+        for pi in enumerate_distinguished(s):
+            image = act(perm, pi)
+            assert [f(image) for f in degrees] == [f(pi) for f in degrees]
+            got = [pair_divisor_curve(sigma, image) for sigma in moved]
+            assert got == [pair_divisor_curve(sigma, pi) for sigma in sigmas]
+
+    check()
 
 
 # --------------------------------------------------- anticanonical degree

@@ -205,8 +205,9 @@ def test_distinguished_blocks_are_canonically_ordered():
         DistinguishedPartition.of(s, [[1], [2], [3, 4, 5, 6]])
     with pytest.raises(InvariantError, match="cover the label set"):
         DistinguishedPartition.of(s, [[1], [2], [3], [4]])
-    with pytest.raises(InvariantError, match=r"^blocks must be integer masks, got \['a', 2, 4, 8\]$"):
-        DistinguishedPartition(s, ["a", 2, 4, 8])
+    for labels, masks in [(s, ["a", 2, 4, 8]), (LabelSet.numbered(5), [True, 2, 4, 24])]:
+        with pytest.raises(InvariantError, match=rf"^blocks must be integer masks, got {re.escape(repr(masks))}$"):
+            DistinguishedPartition(labels, masks)
     out_of_order = DistinguishedPartition(s, (0b10, 0b1, 0b100, 0b111000))
     assert out_of_order.block_masks == (0b1, 0b10, 0b100, 0b111000)
     assert out_of_order == pi
