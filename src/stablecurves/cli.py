@@ -2,7 +2,9 @@
 
 Each command returns its result rendered by the result's own type, and
 ``main`` writes it once: a deterministic JSON envelope, or the text of a
-tabular format.  Identical inputs produce byte-identical output.
+tabular format.  The command line alone decides the bytes: identical
+arguments produce byte-identical output, and no environment variable
+enters.
 
 Exit codes: 0 success, 2 usage or parse error, 3 invariant violation in
 the input, 4 internal assertion failure.
@@ -27,8 +29,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INVARIANT = 3
 EXIT_INTERNAL = 4
-
-ENV_MAX_N = "STABLECURVES_MAX_N"
 
 
 # Each command imports the layers it calls.  bench/spans.py patches these
@@ -55,20 +55,13 @@ def matrix_rank(m):
 def _admit_n(args: argparse.Namespace, minimum: int) -> int:
     """Admit ``--n`` from ``minimum`` up to the bound, and return the bound.
 
-    The bound is ``--max-n``, else ``STABLECURVES_MAX_N``, else the default.
+    The bound is ``--max-n``, whose default is ``DEFAULT_MAX_N``.
     """
-    bound = args.max_n
-    if bound is None:
-        raw = os.environ.get(ENV_MAX_N, str(DEFAULT_MAX_N))
-        try:
-            bound = int(raw)
-        except ValueError:
-            raise ParseError(f"{ENV_MAX_N} must be an integer, got {raw!r}") from None
     if args.n < minimum:
         raise ParseError(f"--n must be at least {minimum}, got {args.n}")
-    if args.n > bound:
-        raise ParseError(f"--n {args.n} exceeds the bound {bound}; raise --max-n to allow it")
-    return bound
+    if args.n > args.max_n:
+        raise ParseError(f"--n {args.n} exceeds the bound {args.max_n}; raise --max-n to allow it")
+    return args.max_n
 
 
 def _cmd_census(args: argparse.Namespace) -> tuple[str | tuple[dict, dict], int]:
@@ -223,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     census = sub.add_parser("census", help="count all boundary curves and classes")
     census.add_argument("--n", type=int, required=True, help="number of labels")
     census.add_argument("--format", choices=("json", "tsv", "table"), default="json")
-    census.add_argument("--max-n", type=int, dest="max_n", help="enumeration bound override")
+    census.add_argument("--max-n", type=int, dest="max_n", default=DEFAULT_MAX_N, help="enumeration bound override")
     census.set_defaults(run=_cmd_census)
 
     pair = sub.add_parser("pair", help="pair one boundary divisor with one curve class")
@@ -240,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     matrix.add_argument("--n", type=int, required=True, help="number of labels")
     matrix.add_argument("--action", choices=("emit", "rank"), default="rank")
     matrix.add_argument("--format", choices=("json", "tsv"), default="json")
-    matrix.add_argument("--max-n", type=int, dest="max_n", help="enumeration bound override")
+    matrix.add_argument("--max-n", type=int, dest="max_n", default=DEFAULT_MAX_N, help="enumeration bound override")
     matrix.set_defaults(run=_cmd_matrix)
 
     tree = sub.add_parser("tree", help="inspect or transform one stable tree")

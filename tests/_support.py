@@ -12,6 +12,7 @@ from pathlib import Path
 import stablecurves
 from stablecurves import (
     DistinguishedPartition,
+    StableTree,
     TwoPartition,
     compatible,
     edge_cut,
@@ -39,11 +40,11 @@ def odd_product_class_size(pi):
 
 
 def act(perm, x):
-    """The relabelling ``perm`` applied to a 2-partition or 4-block partition.
+    """The relabelling ``perm`` applied to a 2-partition, 4-block partition or stable tree.
 
     ``perm[i]`` is where the ``i``-th smallest label goes.  Each mask bit is
     moved, and the record is rebuilt by its constructor, so the canonical
-    side and the block order are derived again rather than carried over.
+    sides and the block order are derived again rather than carried over.
     """
 
     def image(mask):
@@ -51,6 +52,8 @@ def act(perm, x):
 
     if isinstance(x, TwoPartition):
         return TwoPartition(x.label_set, image(x.part_b_mask))
+    if isinstance(x, StableTree):
+        return StableTree(x.label_set, [image(m) for m in x.cuts])
     return DistinguishedPartition(x.label_set, [image(m) for m in x.block_masks])
 
 

@@ -27,7 +27,7 @@ from stablecurves import (
     signature,
     tree_from_signature,
 )
-from stablecurves.cli import ENV_MAX_N, build_parser, main
+from stablecurves.cli import build_parser, main
 from stablecurves.literals import parse_distinguished, parse_forget_set, parse_two_partition
 
 from _support import python_env, run_python
@@ -189,8 +189,7 @@ def test_invalid_tree_exits_3_in_a_fresh_interpreter():
 
 
 @pytest.mark.parametrize("fmt", ["json", "tsv", "table"])
-def test_census_n7_text_is_pinned(capsys, monkeypatch, fmt):
-    monkeypatch.delenv(ENV_MAX_N, raising=False)  # the envelope records the bound
+def test_census_n7_text_is_pinned(capsys, fmt):
     code, out, _ = run(capsys, "census", "--n", "7", "--format", fmt)
     assert code == 0
     assert out.encode() == (EXPECTED / f"census-n7.{fmt}").read_bytes()
@@ -202,21 +201,23 @@ def test_census_rejects_small_n(capsys):
     assert "at least 4" in err
 
 
-def test_census_respects_env_bound(capsys, monkeypatch):
-    monkeypatch.setenv(ENV_MAX_N, "5")
-    code, _, err = run(capsys, "census", "--n", "6")
-    assert code == 2
-    assert "exceeds the bound" in err
-    monkeypatch.setenv(ENV_MAX_N, "6")
-    code, _, _ = run(capsys, "census", "--n", "6")
+def test_max_n_is_the_only_bound(capsys):
+    code, _, err = run(capsys, "census", "--n", "6", "--max-n", "5")
+    assert (code, err) == (2, "stablecurves: --n 6 exceeds the bound 5; raise --max-n to allow it\n")
+    code, _, _ = run(capsys, "census", "--n", "6", "--max-n", "6")
     assert code == 0
-    monkeypatch.setenv(ENV_MAX_N, "not-a-number")
-    code, _, err = run(capsys, "census", "--n", "6")
-    assert code == 2
+
+
+def test_census_respects_env_bound(capsys, monkeypatch):
+    # The environment sets no bound: the command line alone decides the bytes.
+    for value in ("5", "abc"):
+        monkeypatch.setenv("STABLECURVES_MAX_N", value)
+        code, out, _ = run(capsys, "census", "--n", "7")
+        assert (code, out.encode()) == (0, (EXPECTED / "census-n7.json").read_bytes())
 
 
 def test_census_flag_overrides_env(capsys, monkeypatch):
-    monkeypatch.setenv(ENV_MAX_N, "5")
+    monkeypatch.setenv("STABLECURVES_MAX_N", "5")
     code, _, _ = run(capsys, "census", "--n", "6", "--max-n", "6")
     assert code == 0
 
@@ -868,6 +869,10 @@ def test_intersect_forwards_pi_of_tree_to_trees():
 
 
 def test_one_version():
+    # The package's ``__version__`` is the one literal; the build reads it.
     tomllib = pytest.importorskip("tomllib")
     with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as fh:
-        assert tomllib.load(fh)["project"]["version"] == __version__
+        config = tomllib.load(fh)
+    assert "version" not in config["project"]
+    assert config["project"]["dynamic"] == ["version"]
+    assert config["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "stablecurves.__version__"}

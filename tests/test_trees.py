@@ -45,7 +45,7 @@ from stablecurves import (
 from stablecurves import trees as trees_module
 from stablecurves.literals import parse_tree_literal
 
-from _support import as_pair, traced_peak_mib
+from _support import act, as_pair, traced_peak_mib
 
 
 # ---------------------------------------------------------------- oracles
@@ -1021,11 +1021,50 @@ def test_maximal_codimension_is_trivalent():
 # ----------------------------------------------------------- type keys
 
 
-def test_type_key_invariant_under_relabeling():
-    s = LabelSet.numbered(7)
-    t = make_tree([[1, 2, 3], [4], [5], [6, 7]], [(0, 1), (1, 2), (2, 3)], s)
-    relabeled = make_tree([[7, 5, 3], [1], [2], [4, 6]], [(0, 1), (1, 2), (2, 3)], s)
-    assert unlabeled_type_key(t) == unlabeled_type_key(relabeled)
+def test_tree_readings_commute_with_relabelling():
+    # Each cut keeps the side that avoids the smallest label, so a relabelling
+    # that moves that label checks that the sides are derived, not assumed.
+    # String labels let sort order, not integer value, pick that label.
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @st.composite
+    def relabellings(draw):
+        n = draw(st.integers(5, 7))
+        if draw(st.booleans()):
+            s = LabelSet.numbered(n)
+        else:
+            s = LabelSet(draw(st.sets(st.text("ab19", min_size=1, max_size=3), min_size=n, max_size=n)))
+        forgotten = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 3))
+        codim = draw(st.integers(0, n - 3))
+        return s, draw(st.permutations(range(n))), sum(1 << i for i in forgotten), codim
+
+    @settings(max_examples=10, deadline=None, database=None, derandomize=True)
+    @given(relabellings())
+    def check(relabelling):
+        s, perm, q, codim = relabelling
+        # The labels left after forgetting q, relabelled by the ranks of their images.
+        kept = [i for i in range(s.n) if not q >> i & 1]
+        images = sorted(perm[i] for i in kept)
+        induced = [images.index(perm[i]) for i in kept]
+        q_image = sum(1 << perm[i] for i in kept) ^ s.full_mask
+        # The drawn stratum and the curve trees keep their type keys; the curve
+        # trees move their 4-block partitions, and the drawn stratum is signed
+        # and forgotten.
+        for c in {codim, s.n - 4}:
+            for t in enumerate_trees(s, c):
+                image = act(perm, t)
+                assert unlabeled_type_key(image) == unlabeled_type_key(t)
+                if c == s.n - 4:
+                    assert pi_of_tree(image) == act(perm, pi_of_tree(t))
+                if c == codim:
+                    moved = [act(perm, p) for p in signature(t).partitions]
+                    assert signature(image) == PartitionSetSignature(s, moved)
+                    reduced = forget_and_stabilize(t, s.labels_of(q))
+                    got = forget_and_stabilize(image, s.labels_of(q_image))
+                    assert got.cuts == act(induced, reduced).cuts
+
+    check()
 
 
 def test_type_key_distinguishes_the_two_n6_types():
