@@ -1,15 +1,20 @@
-"""Machinery every layer shares: the errors, the record base, count and bit helpers.
+"""Machinery every layer shares: the errors, the record base, the default bound, count and bit helpers.
 
-Private: each error is reached through the layer that exports it
-(``partitions``, or ``cli`` for :class:`ParseError`); the bit helpers
-serve the layers only.  Every command loads this module, and without
-bytecode caches compiles it, so it holds nothing else.
+Private: each error and the bound are reached through the layer that
+exports them (``partitions``, or ``cli`` for :class:`ParseError`); the bit
+helpers serve the layers only.  ``cli`` reads the bound here, as its
+``--max-n`` default, so that start-up loads no layer.  Every command loads
+this module, and without bytecode caches compiles it, so it holds nothing else.
 """
 
 from __future__ import annotations
 
 import sys
 from operator import attrgetter, index
+
+# Enumerations refuse label sets larger than this unless the caller raises
+# the bound explicitly; the counts grow exponentially in n.
+DEFAULT_MAX_N = 16
 
 
 class InvariantError(ValueError):

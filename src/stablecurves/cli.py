@@ -20,8 +20,7 @@ from itertools import islice
 from typing import Sequence
 
 from . import __version__
-from ._base import InvariantError, ParseError, _check_internal
-from .partitions import DEFAULT_MAX_N, LabelSet
+from ._base import DEFAULT_MAX_N, InvariantError, ParseError, _check_internal
 
 __all__ = ["main", "ParseError"]
 
@@ -31,9 +30,10 @@ EXIT_INVARIANT = 3
 EXIT_INTERNAL = 4
 
 
-# Each command imports the layers it calls.  bench/spans.py patches these
-# three forwarders, which keep their targets' parameters, on this module
-# until the trace hooks of ROADMAP item 5 let them go.
+# Each command imports the layers it calls, ``partitions`` included, so
+# --version, --help and a usage error compile none.  bench/spans.py patches
+# these three forwarders, which keep their targets' parameters, on this
+# module until the trace hooks of ROADMAP item 5 let them go.
 def run_census(s, max_n=None):
     from .census import run_census
 
@@ -65,6 +65,8 @@ def _admit_n(args: argparse.Namespace, minimum: int) -> int:
 
 
 def _cmd_census(args: argparse.Namespace) -> tuple[str | tuple[dict, dict], int]:
+    from .partitions import LabelSet
+
     bound = _admit_n(args, 4)
     report = run_census(LabelSet.numbered(args.n), max_n=bound)
     if args.format == "tsv":
@@ -108,6 +110,7 @@ def _cmd_minus_k(args: argparse.Namespace) -> tuple[str | tuple[dict, dict], int
 
 
 def _cmd_matrix(args: argparse.Namespace) -> tuple[str | tuple[dict, dict], int]:
+    from .partitions import LabelSet
     from .intersect import picard_rank
 
     if args.action == "rank" and args.format == "tsv":

@@ -15,7 +15,7 @@ from functools import cached_property
 from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Iterator
 
-from ._base import InternalCheckError, InvariantError, _Record, _integer, _length, _low_bit, bits_of
+from ._base import DEFAULT_MAX_N, InternalCheckError, InvariantError, _Record, _integer, _length, _low_bit, bits_of
 
 __all__ = [
     "DEFAULT_MAX_N",
@@ -31,10 +31,6 @@ __all__ = [
     "compatible",
     "enumerate_distinguished",
 ]
-
-# Enumerations refuse label sets larger than this unless the caller raises
-# the bound explicitly; the counts grow exponentially in n.
-DEFAULT_MAX_N = 16
 
 
 class LabelSet(_Record):

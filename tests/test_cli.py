@@ -208,18 +208,35 @@ def test_max_n_is_the_only_bound(capsys):
     assert code == 0
 
 
-def test_census_respects_env_bound(capsys, monkeypatch):
-    # The environment sets no bound: the command line alone decides the bytes.
+def test_the_environment_sets_no_bound(capsys, monkeypatch):
+    # STABLECURVES_MAX_N was once read; the command line alone decides the bytes.
     for value in ("5", "abc"):
         monkeypatch.setenv("STABLECURVES_MAX_N", value)
         code, out, _ = run(capsys, "census", "--n", "7")
         assert (code, out.encode()) == (0, (EXPECTED / "census-n7.json").read_bytes())
-
-
-def test_census_flag_overrides_env(capsys, monkeypatch):
     monkeypatch.setenv("STABLECURVES_MAX_N", "5")
     code, _, _ = run(capsys, "census", "--n", "6", "--max-n", "6")
     assert code == 0
+
+
+def test_the_bound_has_one_source():
+    import ast
+
+    from stablecurves import _base, partitions
+
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for name in ("census", "matrix"):
+        assert sub.choices[name].get_default("max_n") is partitions.DEFAULT_MAX_N, name
+    assert stablecurves.DEFAULT_MAX_N is partitions.DEFAULT_MAX_N is _base.DEFAULT_MAX_N
+    # A small int is one object wherever it is written, so the identities
+    # above cannot tell two literals apart: only ``_base`` assigns the name.
+    assigning = {
+        path.stem
+        for path in Path(stablecurves.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Name) and node.id == "DEFAULT_MAX_N" and isinstance(node.ctx, ast.Store)
+    }
+    assert assigning == {"_base"}
 
 
 # ----------------------------------------------------------------- pair
@@ -700,10 +717,10 @@ LIBRARY = (
 CHAIN = "[1,2];[3];[4,5,6]/0-1,1-2"
 
 # (code, arguments, the package's modules it loads besides the package).
-CLI = {"_base", "cli", "partitions"}
-PAIRINGS = {*CLI, "intersect"}
+CLI = {"_base", "cli"}
+PAIRINGS = {*CLI, "partitions", "intersect"}
 READ_PI = {*PAIRINGS, "literals"}
-TREE = {*CLI, "literals", "_tree", "_raw"}
+TREE = {*CLI, "partitions", "literals", "_tree", "_raw"}
 ENTRY_POINTS = [
     ("import stablecurves", [], set()),
     ("import stablecurves.cli", [], CLI),
@@ -762,6 +779,16 @@ def test_every_command_is_launched_by_an_entry_point():
             launched.add((args.command, getattr(args, "action", None)))
     missing = sorted(" ".join(filter(None, command)) for command in commands - launched)
     assert not missing, missing
+
+
+def test_a_usage_error_compiles_no_layer():
+    # argparse refuses the command line before any handler runs.
+    out = run_python(*DEV, "-c", LOADED + MAIN, "census")
+    assert out.returncode == 2, out.stderr
+    lines = out.stderr.decode().splitlines()
+    assert "the following arguments are required: --n" in lines[-2]
+    package = {m for m in lines[-1].split() if m.startswith("stablecurves")}
+    assert package == {"stablecurves", "stablecurves._base", "stablecurves.cli"}
 
 
 def test_cli_import_loads_no_introspection_modules():
