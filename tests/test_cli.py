@@ -208,12 +208,16 @@ def test_max_n_is_the_only_bound(capsys):
     assert code == 0
 
 
-def test_the_environment_sets_no_bound(capsys, monkeypatch):
-    # STABLECURVES_MAX_N was once read; the command line alone decides the bytes.
+def test_census_respects_env_bound(capsys, monkeypatch):
+    # STABLECURVES_MAX_N was once read; the environment now sets no bound,
+    # so the command line alone decides the bytes.
     for value in ("5", "abc"):
         monkeypatch.setenv("STABLECURVES_MAX_N", value)
         code, out, _ = run(capsys, "census", "--n", "7")
         assert (code, out.encode()) == (0, (EXPECTED / "census-n7.json").read_bytes())
+
+
+def test_census_flag_overrides_env(capsys, monkeypatch):
     monkeypatch.setenv("STABLECURVES_MAX_N", "5")
     code, _, _ = run(capsys, "census", "--n", "6", "--max-n", "6")
     assert code == 0
