@@ -52,13 +52,13 @@ def matrix_rank(m):
     return matrix_rank(m)
 
 
-def _admit_n(args: argparse.Namespace, minimum: int) -> int:
-    """Admit ``--n`` from ``minimum`` up to the bound, and return the bound.
+def _admit_n(args: argparse.Namespace) -> int:
+    """Admit ``--n`` from 4, the least label count, up to the bound, and return the bound.
 
     The bound is ``--max-n``, whose default is ``DEFAULT_MAX_N``.
     """
-    if args.n < minimum:
-        raise ParseError(f"--n must be at least {minimum}, got {args.n}")
+    if args.n < 4:
+        raise ParseError(f"--n must be at least 4, got {args.n}")
     if args.n > args.max_n:
         raise ParseError(f"--n {args.n} exceeds the bound {args.max_n}; raise --max-n to allow it")
     return args.max_n
@@ -67,7 +67,7 @@ def _admit_n(args: argparse.Namespace, minimum: int) -> int:
 def _cmd_census(args: argparse.Namespace) -> tuple[str | tuple[dict, dict], int]:
     from .partitions import LabelSet
 
-    bound = _admit_n(args, 4)
+    bound = _admit_n(args)
     report = run_census(LabelSet.numbered(args.n), max_n=bound)
     if args.format == "tsv":
         return report.to_tsv(), EXIT_OK
@@ -95,18 +95,10 @@ def _cmd_minus_k(args: argparse.Namespace) -> tuple[str | tuple[dict, dict], int
     from .literals import parse_distinguished
 
     pi = parse_distinguished(args.pi)
-    result: dict = {}
-    if args.route in ("closed", "both"):
-        result["closed"] = minus_k_closed(pi)
-    if args.route in ("expanded", "both"):
-        result["expanded"] = minus_k_expanded(pi)
-    if args.route == "both":
-        _check_internal(
-            result["closed"] == result["expanded"], "closed and expanded routes disagree"
-        )
-        result["equal"] = True
-    parameters = {"pi": args.pi, "route": args.route}
-    return (parameters, result), EXIT_OK
+    closed, expanded = minus_k_closed(pi), minus_k_expanded(pi)
+    _check_internal(closed == expanded, "closed and expanded routes disagree")
+    result = {"closed": closed, "expanded": expanded, "equal": True}
+    return ({"pi": args.pi}, result), EXIT_OK
 
 
 def _cmd_matrix(args: argparse.Namespace) -> tuple[str | tuple[dict, dict], int]:
@@ -115,7 +107,7 @@ def _cmd_matrix(args: argparse.Namespace) -> tuple[str | tuple[dict, dict], int]
 
     if args.action == "rank" and args.format == "tsv":
         raise ParseError("--format tsv applies to --action emit only")
-    bound = _admit_n(args, 5)
+    bound = _admit_n(args)
     m = intersection_matrix(LabelSet.numbered(args.n), max_n=bound)
     if args.action == "emit":
         if args.format == "tsv":
@@ -229,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     minus_k = sub.add_parser("minus-k", help="anticanonical degree of a curve class")
     minus_k.add_argument("--pi", required=True, help="4-block partition literal")
-    minus_k.add_argument("--route", choices=("closed", "expanded", "both"), default="both")
     minus_k.set_defaults(run=_cmd_minus_k)
 
     matrix = sub.add_parser("matrix", help="divisor-by-class pairing matrix")

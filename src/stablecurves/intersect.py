@@ -50,7 +50,6 @@ def pair_divisor_curve(sigma: TwoPartition, pi: DistinguishedPartition) -> int:
     """
     if sigma.label_set != pi.label_set:
         raise InvariantError("sigma and pi must use the same labels")
-    _require_labels(sigma.label_set, 5)
     return _degree(lambda b: b == sigma.part_b_mask, 1, pi)
 
 
@@ -112,7 +111,6 @@ def minus_k_expanded(pi: DistinguishedPartition) -> int:
     Sums the coefficients 2 - j(n - j)/(n - 1) over the divisors meeting
     the curve class, by :func:`_degree`.
     """
-    _require_labels(pi.label_set, 5)
     n = pi.label_set.n
     return _degree(lambda b: _minus_k_numerator(n, b), n - 1, pi)
 
@@ -123,7 +121,6 @@ def k_plus_b_pairing(pi: DistinguishedPartition) -> int:
     Read off the P- and N-sets, the only divisors meeting the curve, so no
     divisor is enumerated and no enumeration bound applies.
     """
-    _require_labels(pi.label_set, 5)
     return _degree(lambda b: 1, 1, pi) - minus_k_closed(pi)
 
 
@@ -194,7 +191,7 @@ def intersection_matrix(s: LabelSet, max_n: int | None = None) -> IntersectionMa
     column holds +1 on its P-members and -1 on its N-members, read off its
     blocks when ``entries`` walks the stream.
     """
-    _require_labels(s, 5)
+    _require_labels(s, 4)
     _require_bound(s, max_n)
     return IntersectionMatrix(s)
 

@@ -131,12 +131,12 @@ def test_acceptance_4_degree_routes_agree():
 
 def test_acceptance_5_k_plus_b_is_one():
     def check():
-        for n in range(5, 9):
+        for n in range(4, 9):
             s = LabelSet.numbered(n)
             for pi in enumerate_distinguished(s):
                 assert k_plus_b_pairing(pi) == 1
 
-    _report(5, "log-canonical pairing equals 1 for every class, n=5..8", check)
+    _report(5, "log-canonical pairing equals 1 for every class, n=4..8", check)
 
 
 def test_acceptance_6_matrix_rank_matches_picard_rank():
@@ -145,16 +145,16 @@ def test_acceptance_6_matrix_rank_matches_picard_rank():
         assert picard_rank(5) == 5
         assert picard_rank(6) == 16
         assert picard_rank(7) == 42
-        dims = {5: (10, 10), 6: (25, 65), 7: (56, 350)}
+        dims = {4: (3, 1), 5: (10, 10), 6: (25, 65), 7: (56, 350)}
         start = time.perf_counter()
-        for n in (5, 6, 7):
+        for n in (4, 5, 6, 7):
             m = intersection_matrix(LabelSet.numbered(n))
             assert (len(m.rows), len(m.cols)) == dims[n]
             assert matrix_rank(m) == picard_rank(n)
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0
 
-    _report(6, "pairing matrix rank equals the Picard rank 5/16/42 for n=5/6/7", check)
+    _report(6, "pairing matrix rank equals the Picard rank 1/5/16/42 for n=4/5/6/7", check)
 
 
 def test_acceptance_7_class_sizes_match_enumeration():

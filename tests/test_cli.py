@@ -165,9 +165,9 @@ def test_matrix_emit_n9_peaks_under_64_mib(tmp_path):
 def test_failed_command_leaves_the_output_file_alone(tmp_path, capsys):
     target = tmp_path / "emit.json"
     target.write_bytes(b"earlier contents\n")
-    code, out, err = run(capsys, "matrix", "--n", "4", "--action", "emit", "--output", str(target))
+    code, out, err = run(capsys, "matrix", "--n", "3", "--action", "emit", "--output", str(target))
     assert (code, out) == (2, "")
-    assert err == "stablecurves: --n must be at least 5, got 4\n"
+    assert err == "stablecurves: --n must be at least 4, got 3\n"
     assert target.read_bytes() == b"earlier contents\n"
     # An invalid tree is a result: validate writes its envelope, then exits 3.
     argv = ("tree", "--action", "validate", "--tree", "[1];[2]/0-1")
@@ -293,13 +293,17 @@ def test_minus_k_both_routes_agree(capsys):
 
 
 def test_minus_k_closed_only_n4(capsys):
-    payload = run_json(capsys, "minus-k", "--pi", "1|2|3|4", "--route", "closed")
-    assert payload["result"] == {"closed": 2}
+    # Both routes run at every n, the least included: the parameters hold only pi.
+    payload = run_json(capsys, "minus-k", "--pi", "1|2|3|4")
+    assert payload["parameters"] == {"pi": "1|2|3|4"}
+    assert payload["result"] == {"closed": 2, "equal": True, "expanded": 2}
 
 
-def test_minus_k_expanded_rejects_n4(capsys):
-    code, _, _ = run(capsys, "minus-k", "--pi", "1|2|3|4", "--route", "expanded")
-    assert code == 3
+def test_minus_k_expanded_rejects_n4():
+    # minus-k has no --route, so naming one is a usage error.
+    with pytest.raises(SystemExit) as exc:
+        main(["minus-k", "--pi", "1|2|3|4", "--route", "expanded"])
+    assert exc.value.code == 2
 
 
 def test_minus_k_negative_degree(capsys):
@@ -308,8 +312,9 @@ def test_minus_k_negative_degree(capsys):
 
 
 def test_minus_k_comma_literal(capsys):
-    payload = run_json(capsys, "minus-k", "--pi", "1,2|3|4|5,6", "--route", "closed")
-    assert payload["result"] == {"closed": 0}
+    # The comma literal reads to the class 12|3|4|56, whose two routes both give 0.
+    payload = run_json(capsys, "minus-k", "--pi", "1,2|3|4|5,6")
+    assert payload["result"] == {"closed": 0, "equal": True, "expanded": 0}
 
 
 def test_minus_k_multi_digit_singletons(capsys):
@@ -334,8 +339,8 @@ def test_whitespace_inside_a_label_is_a_parse_error(capsys, argv):
 
 
 def test_spaces_around_comma_separated_labels_are_stripped(capsys):
-    payload = run_json(capsys, "minus-k", "--pi", " 1 , 2 | 3 |4| 5,6 ", "--route", "closed")
-    assert payload["result"] == {"closed": 0}
+    payload = run_json(capsys, "minus-k", "--pi", " 1 , 2 | 3 |4| 5,6 ")
+    assert payload["result"]["closed"] == 0
     payload = run_json(
         capsys, "tree", "--action", "forget", "--tree", "[ a, b ];[c ,d];[e,f]/0-1,1-2",
         "--forget-set", " c , d ",
@@ -381,8 +386,8 @@ def test_one_label_blocks_of_long_labels_end_in_a_comma(capsys):
     assert pi.literal() == "ab|cd|ef|gh,"
     payload = run_json(capsys, "tree", "--action", "pi", "--tree", "[10,11,12,13]")
     assert payload["result"]["pi"] == "10|11|12|13,"
-    payload = run_json(capsys, "minus-k", "--pi", "10|11|12|13,", "--route", "closed")
-    assert payload["result"] == {"closed": 2}
+    payload = run_json(capsys, "minus-k", "--pi", "10|11|12|13,")
+    assert payload["result"]["closed"] == 2
 
 
 def tree_literal(t):
@@ -457,9 +462,10 @@ def test_matrix_rank_refuses_tsv(capsys):
 
 
 def test_matrix_rejects_n4(capsys):
-    code, _, err = run(capsys, "matrix", "--n", "4")
+    # 4 labels is the floor of every command, so n = 3 is the refusal left.
+    code, _, err = run(capsys, "matrix", "--n", "3")
     assert code == 2
-    assert "at least 5" in err
+    assert "at least 4" in err
 
 
 # ----------------------------------------------------------------- tree
@@ -601,11 +607,11 @@ TWO_DIGIT_TREE = "[1,2,3,4,5,6,7,8,9];[10];[11,12]/0-1,1-2"
         ),
         # ``²`` is a digit to ``str.isdigit`` but no number to ``int``, so
         # these labels stay strings, through every literal route.
-        (("minus-k", "--pi", "1|2|3|²"), 3, "operation needs at least 5 labels, got 4"),
+        (("pair", "--sigma", "12|34", "--pi", "1|2|3|²"), 3, "sigma and pi must use the same labels"),
         (
-            ("pair", "--sigma", "12|3²", "--pi", "1|2|3|²"),
+            ("tree", "--action", "forget", "--tree", "[1,2];[3,²,5]/0-1", "--forget-set", "4"),
             3,
-            "operation needs at least 5 labels, got 4",
+            "unknown label '4'",
         ),
         (
             ("tree", "--action", "pi", "--tree", "[1,2];[3,²]/0-1"),
@@ -646,8 +652,11 @@ def test_refusals_exit_with_one_message(capsys, argv, code, message):
 
 
 def test_labels_int_cannot_read_stay_strings(capsys):
-    payload = run_json(capsys, "minus-k", "--pi", "1|2|3|²5")
-    assert payload["result"] == {"closed": 1, "expanded": 1, "equal": True}
+    for pi, degree in (("1|2|3|²5", 1), ("1|2|3|²", 2)):
+        payload = run_json(capsys, "minus-k", "--pi", pi)
+        assert payload["result"] == {"closed": degree, "expanded": degree, "equal": True}
+    payload = run_json(capsys, "pair", "--sigma", "12|3²", "--pi", "1|2|3|²")
+    assert payload["result"]["pairing"] == 1
     payload = run_json(capsys, "tree", "--action", "signature", "--tree", "[1,2];[3,²,5]/0-1")
     assert payload["result"]["signature"] == ["12|35²"]
 
@@ -743,7 +752,6 @@ ENTRY_POINTS = [
     (MAIN, ["tree", "--action", "forget", "--forget-set", "3", "--tree", CHAIN], TREE),
     (MAIN, ["pair", "--sigma", "12|345", "--pi", "1|2|3|45"], READ_PI),
     (MAIN, ["minus-k", "--pi", "1|2|3|45"], READ_PI),
-    (MAIN, ["minus-k", "--pi", "1|2|3|45", "--route", "expanded"], READ_PI),
     (MAIN, ["matrix", "--n", "5"], PAIRINGS),
     (MAIN, ["matrix", "--n", "5", "--action", "emit"], {*PAIRINGS, "literals"}),
     (MAIN, ["matrix", "--n", "5", "--action", "emit", "--format", "tsv"], {*PAIRINGS, "literals"}),

@@ -48,7 +48,7 @@ def pullback(sigma: TwoPartition) -> tuple[TwoPartition, TwoPartition]:
 
 
 @pytest.mark.parametrize(
-    "n, pairs, contracted", [(5, 650, 250), (6, 8_750, 2_250), (7, 95_256, 16_856)]
+    "n, pairs, contracted", [(4, 30, 18), (5, 650, 250), (6, 8_750, 2_250), (7, 95_256, 16_856)]
 )
 def test_projection_formula_holds_on_every_pair(n, pairs, contracted):
     divisors = [(sigma, pullback(sigma)) for sigma in enumerate_stable_two_partitions(LabelSet.numbered(n))]

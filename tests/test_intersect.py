@@ -149,7 +149,7 @@ def test_pair_union_of_two_singleton_blocks_is_positive():
 
 
 def test_pair_classification_matches_sets_exhaustively():
-    for n in (5, 6, 7):
+    for n in (4, 5, 6, 7):
         s = LabelSet.numbered(n)
         sigmas = enumerate_stable_two_partitions(s)
         for pi in enumerate_distinguished(s):
@@ -158,15 +158,12 @@ def test_pair_classification_matches_sets_exhaustively():
 
 
 def test_pair_rejects_small_n_and_mixed_labels():
-    s4 = LabelSet.numbered(4)
-    pi4 = DistinguishedPartition.of(s4, [[1], [2], [3], [4]])
-    with pytest.raises(InvariantError):
-        pair_divisor_curve(TwoPartition.of(s4, [3, 4]), pi4)
-    s5 = LabelSet.numbered(5)
+    # n = 4 pairs (the exhaustive test covers it); mixed label sets still refuse.
     s6 = LabelSet.numbered(6)
     pi6 = DistinguishedPartition.of(s6, [[1], [2], [3], [4, 5, 6]])
-    with pytest.raises(InvariantError, match="^sigma and pi must use the same labels$"):
-        pair_divisor_curve(TwoPartition.of(s5, [4, 5]), pi6)
+    for n in (4, 5):
+        with pytest.raises(InvariantError, match="^sigma and pi must use the same labels$"):
+            pair_divisor_curve(TwoPartition.of(LabelSet.numbered(n), [3, 4]), pi6)
 
 
 def test_pairing_matches_curve_tree_route():
@@ -188,7 +185,7 @@ def test_pairings_and_degrees_are_invariant_under_relabelling():
 
     @st.composite
     def relabellings(draw):
-        n = draw(st.integers(5, 7))
+        n = draw(st.integers(4, 7))
         if draw(st.booleans()):
             s = LabelSet.numbered(n)
         else:
@@ -254,9 +251,9 @@ def test_minus_k_expanded_examples():
 
 
 def test_minus_k_expanded_rejects_n4():
-    s4 = LabelSet.numbered(4)
-    with pytest.raises(InvariantError):
-        minus_k_expanded(DistinguishedPartition.of(s4, [[1], [2], [3], [4]]))
+    # The expanded route runs from 4 labels, where it meets the closed form.
+    pi4 = DistinguishedPartition.of(LabelSet.numbered(4), [[1], [2], [3], [4]])
+    assert minus_k_expanded(pi4) == minus_k_closed(pi4)
 
 
 def test_minus_k_expanded_checks_that_the_sum_divides_exactly(monkeypatch):
@@ -595,8 +592,9 @@ def test_sparse_rank_rejects_a_corrupted_column(monkeypatch):
 
 
 def test_intersection_matrix_rejects_n4():
-    with pytest.raises(InvariantError):
-        intersection_matrix(LabelSet.numbered(4))
+    # 4 labels is the floor, so 3 is refused, at once, before any enumeration.
+    with pytest.raises(InvariantError, match="^operation needs at least 4 labels, got 3$"):
+        intersection_matrix(LabelSet.numbered(3))
     with pytest.raises(InvariantError):
         picard_rank(3)
     for n in (4.5, 5.0):
